@@ -72,13 +72,13 @@ def is_in_DO(p: Partition, n: int) -> bool:
     return True
 
 
-def _iter_O_shapes(n: int) -> Iterator[tuple[int, ...]]:
+def _iter_O_arms(n: int) -> Iterator[tuple[int, ...]]:
     """Arm sequences a_1 > ... > a_d >= 1 with (2a_1-1) + sum 2(2a_i-1) = 2n+1."""
     target = 2 * n + 1
 
     def inner(remaining: int, below: int, arms: list[int]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            yield hooks_compose(HookList.from_arms(arms)).parts
+            yield tuple(arms)
             return
         # interior hooks contribute 2(2a-1) = 4a-2
         amax = min(below - 1, (remaining + 2) // 4)
@@ -91,17 +91,44 @@ def _iter_O_shapes(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_O(n: int) -> list[OddFerrersGraph]:
-    shapes = sorted(_iter_O_shapes(n), reverse=True)
+    shapes = sorted((hooks_compose(HookList.from_arms(arms)).parts for arms in _iter_O_arms(n)),
+                    reverse=True)
     return [OddFerrersGraph(Partition(s)) for s in shapes]
 
 
 def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
-    """Compose strictly decreasing odd hook cell counts summing to 4n+1, then
-    keep only results with all parts odd."""
+    """Compose strictly decreasing odd hook cell counts summing to 4n+1 whose
+    partition has all parts odd, cutting a branch as soon as its hooks force
+    an even row.
+
+    Hooks are numbered from 0; hook i has arm a_i and row p_i = a_i + i, and
+    the rows p_0 >= p_1 >= ... of the Durfee square are weakly decreasing.
+    By self-conjugacy row j below the square (j >= d, the hook count) is the
+    number of i with p_i > j, so every row is fixed once the hooks that
+    reach it are chosen:
+
+    1. Row p_i must be odd.
+    2. When p_i < p_{i-1}, the rows in [p_i, p_{i-1}) equal i, so i must be
+       odd. Rows only fall as the hook size c falls, so for even i the loop
+       stops at the first c with p_i < p_{i-1}.
+    3. At a leaf with d hooks, when p_{d-1} > d the rows in [d, p_{d-1})
+       equal d, so d must be odd.
+    4. The loop over c stops once the weight left after c exceeds
+       ((c-1)/2)^2, the largest sum of distinct odd hooks below c.
+
+    Rules 1-3 name every row of the partition (each p_i >= d, so the rows in
+    rules 2 and 3 lie below the square and are counted nowhere else), and
+    rule 4 drops only branches with no leaf, so the prune is exact. Each
+    leaf is still composed and tested, so the prune is only an optimisation.
+    """
     target = 4 * n + 1
 
     def inner(remaining: int, below: int, arms: list[int]) -> Iterator[tuple[int, ...]]:
+        i = len(arms)
+        last_row = arms[-1] + i - 1 if arms else 0  # p_{i-1}
         if remaining == 0:
+            if i % 2 == 0 and last_row > i:  # rule 3
+                return
             parts = hooks_compose(HookList.from_arms(arms)).parts
             if all(x % 2 == 1 for x in parts):
                 yield parts
@@ -110,7 +137,13 @@ def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
         if cmax % 2 == 0:
             cmax -= 1
         for c in range(cmax, 0, -2):
-            yield from inner(remaining - c, c, arms + [(c + 1) // 2])
+            if remaining - c > ((c - 1) // 2) ** 2:  # rule 4
+                break
+            row = (c + 1) // 2 + i
+            if i % 2 == 0 and row < last_row:  # rule 2
+                break
+            if row % 2 == 1:  # rule 1
+                yield from inner(remaining - c, c, arms + [(c + 1) // 2])
 
     yield from inner(target, target + 2, [])
 
@@ -167,7 +200,7 @@ def enumerate_DO(n: int) -> list[Partition]:
 def count(c: ClassId, n: int) -> int:
     """Class cardinality at index n, without materializing the sorted list."""
     iters = {
-        ClassId.O: _iter_O_shapes,
+        ClassId.O: _iter_O_arms,
         ClassId.S: _iter_S_parts,
         ClassId.D: _iter_D_parts,
         ClassId.DO: _iter_DO_parts,

@@ -223,9 +223,9 @@ def _cmd_verify(args) -> int:
         for n in range(max_n + 1):
             nonneg = base[n] >= 0
             stable = base[n] == wider[n]
-            matches = base[n] == classes.count(ClassId.S, n)
-            ok = nonneg and stable and matches
-            detail = f"coeff={base[n]} wider={wider[n]} S={classes.count(ClassId.S, n)}"
+            s_count = classes.count(ClassId.S, n)
+            ok = nonneg and stable and base[n] == s_count
+            detail = f"coeff={base[n]} wider={wider[n]} S={s_count}"
             print(f"{n}\t{'PASS' if ok else 'FAIL'}" + ("" if ok else f"\t{detail}"))
             if not ok and failures == 0:
                 print(f"first counterexample: n={n} {detail}")

@@ -1,10 +1,13 @@
 """Integer partitions, conjugation, and principal-hook decomposition."""
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InvalidHookList, NotSelfConjugate
+
+_DIGITS = re.compile("[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -30,11 +33,19 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> Partition:
-        """Parse comma-separated descending parts, e.g. "5,5,5,3,3"."""
+        """Parse comma-separated descending parts, e.g. "5,5,5,3,3".
+
+        Each part is ASCII digits only, optionally surrounded by whitespace;
+        anything else (signs, underscores, non-ASCII digits) is a ValueError.
+        """
         stripped = text.strip()
         if not stripped:
             return cls()
-        return cls(tuple(int(tok) for tok in stripped.split(",")))
+        tokens = [tok.strip() for tok in stripped.split(",")]
+        for tok in tokens:
+            if not _DIGITS.fullmatch(tok):
+                raise ValueError(f"part {tok!r} is not a run of digits 0-9")
+        return cls(tuple(int(tok) for tok in tokens))
 
     def to_text(self) -> str:
         return ",".join(str(p) for p in self.parts)

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import oddferrers
 from oddferrers.classes import (
     ClassId,
     count,
@@ -19,6 +23,9 @@ from oddferrers.partitions import Partition
 import oracles
 
 ORACLE_N = 8
+# the cell-set S oracle builds only the self-conjugate partitions with
+# distinct odd hooks, so it reaches much further than the naive scan
+CELL_ORACLE_N = 30
 
 
 def P(*parts):
@@ -109,6 +116,13 @@ class TestEnumerators:
         assert [p.parts for p in enumerate_D(n)] == oracles.naive_D(n)
         assert [p.parts for p in enumerate_DO(n)] == oracles.naive_DO(n)
 
+    @pytest.mark.parametrize("n", range(CELL_ORACLE_N + 1))
+    def test_s_matches_cell_set_oracle(self, n):
+        shapes = (oracles.sc_from_distinct_odd_cells(h)
+                  for h in oracles.distinct_odd_partitions_of(4 * n + 1))
+        expected = sorted((p for p in shapes if all(x % 2 == 1 for x in p)), reverse=True)
+        assert [p.parts for p in enumerate_S(n)] == expected
+
     @pytest.mark.parametrize("n", range(15))
     def test_no_duplicates_and_membership(self, n):
         o = [g.shape.parts for g in enumerate_O(n)]
@@ -148,6 +162,9 @@ class TestCount:
         values = {count(c, n) for c in ClassId}
         assert len(values) == 1
 
+    def test_s_agrees_with_o_to_60(self):
+        assert [count(ClassId.S, n) for n in range(61)] == [count(ClassId.O, n) for n in range(61)]
+
     @pytest.mark.parametrize("c", list(ClassId))
     def test_count_matches_enumeration_length(self, c):
         enum = {
@@ -163,3 +180,41 @@ class TestCount:
 def test_json_form():
     d = to_json_dict(ClassId.S, 1)
     assert d == {"class": "S", "n": 1, "count": 1, "members": [[3, 1, 1]]}
+
+
+def _package_imports(module_name):
+    """The oddferrers modules that `module_name` imports, read from its source."""
+    tree = ast.parse((Path(oddferrers.__file__).parent / f"{module_name}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            dotted = (node.module or "").split(".")
+            if node.level == 0:
+                if dotted[0] != "oddferrers":
+                    continue
+                dotted = dotted[1:]
+            if dotted and dotted[0]:
+                names.add(dotted[0])
+            else:
+                names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                dotted = a.name.split(".")
+                if dotted[0] == "oddferrers" and len(dotted) > 1:
+                    names.add(dotted[1])
+    return names
+
+
+def test_classes_does_not_reach_bijections_or_qseries():
+    # S must come from its own definition: built from phi or from the series,
+    # the equinumerosity check would prove nothing
+    seen, todo = set(), ["classes"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_package_imports(name))
+    assert "bijections" not in seen and "qseries" not in seen
+    # the reader sees both import forms
+    assert {"bijections", "qseries"} <= _package_imports("cli")
+    assert "partitions" in _package_imports("classes")

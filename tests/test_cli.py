@@ -108,6 +108,11 @@ class TestMap:
         code, _, err = run(capsys, "map", "phi", "--input", "1,3")
         assert code == 2 and "parse" in err
 
+    @pytest.mark.parametrize("text", ["3_0", "\u0663", "2,+1"])
+    def test_non_digit_tokens_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "map", "phi", "--input", text)
+        assert code == 2 and out == "" and "parse" in err
+
     def test_roundtrip_identical_text(self, capsys):
         from oddferrers.classes import enumerate_S
 

@@ -40,6 +40,14 @@ class TestConstruction:
         assert p.parts == (5, 5, 5, 3, 3)
         assert p.to_text() == "5,5,5,3,3"
 
+    def test_text_allows_whitespace_around_parts(self):
+        assert Partition.from_text(" 5 , 3,1\n").parts == (5, 3, 1)
+
+    @pytest.mark.parametrize("text", ["3_0", "\u0663", "\uff13", "+3", "-1", "3,,1", "3 1", "0x3", "3.0"])
+    def test_text_rejects_non_ascii_digit_tokens(self, text):
+        with pytest.raises(ValueError):
+            Partition.from_text(text)
+
     def test_hook_arm_positive(self):
         with pytest.raises(ValueError):
             Hook(0)
