@@ -208,10 +208,15 @@ def count(c: ClassId, n: int) -> int:
     return sum(1 for _ in iters[c](n))
 
 
+ENUMERATORS = {
+    ClassId.O: enumerate_O,
+    ClassId.S: enumerate_S,
+    ClassId.D: enumerate_D,
+    ClassId.DO: enumerate_DO,
+}
+
+
 def to_json_dict(c: ClassId, n: int) -> dict:
-    if c is ClassId.O:
-        members = [list(g.shape.parts) for g in enumerate_O(n)]
-    else:
-        enum = {ClassId.S: enumerate_S, ClassId.D: enumerate_D, ClassId.DO: enumerate_DO}[c]
-        members = [list(p.parts) for p in enum(n)]
-    return {"class": c.value, "n": n, "count": len(members), "members": members}
+    members = ENUMERATORS[c](n)
+    shapes = [g.shape for g in members] if c is ClassId.O else members
+    return {"class": c.value, "n": n, "count": len(members), "members": [list(p) for p in shapes]}

@@ -12,16 +12,17 @@ from .errors import OddFerrersError
 from .ferrers import OddFerrersGraph
 from .partitions import Partition
 
-MAP_NAMES = (
-    "phi",
-    "phi-inverse",
-    "o-to-d",
-    "d-to-o",
-    "d-to-do",
-    "do-to-d",
-    "sc-to-distinct-odd",
-    "distinct-odd-to-sc",
-)
+# map name -> (bijection, whether its input is an odd Ferrers graph)
+_MAPS = {
+    "phi": (bijections.phi, True),
+    "phi-inverse": (bijections.phi_inverse, False),
+    "o-to-d": (bijections.o_to_d, True),
+    "d-to-o": (bijections.d_to_o, False),
+    "d-to-do": (bijections.d_to_do, False),
+    "do-to-d": (bijections.do_to_d, False),
+    "sc-to-distinct-odd": (bijections.sc_to_distinct_odd, False),
+    "distinct-odd-to-sc": (bijections.distinct_odd_to_sc, False),
+}
 
 
 class _ParseFailure(Exception):
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--format", choices=["text", "json"], default="text")
 
     p_map = sub.add_parser("map", help="apply one of the bijections")
-    p_map.add_argument("name", choices=MAP_NAMES)
+    p_map.add_argument("name", choices=list(_MAPS))
     p_map.add_argument("--input", required=True)
     p_map.add_argument("--check", action="store_true",
                        help="verify output class membership where applicable")
@@ -104,15 +105,8 @@ def _cmd_enumerate(args) -> int:
     if args.format == "json":
         print(json.dumps(classes.to_json_dict(cid, args.n)))
         return 0
-    if cid is ClassId.O:
-        for g in classes.enumerate_O(args.n):
-            print(g.to_text())
-    else:
-        enum = {ClassId.S: classes.enumerate_S,
-                ClassId.D: classes.enumerate_D,
-                ClassId.DO: classes.enumerate_DO}[cid]
-        for p in enum(args.n):
-            print(p.to_text())
+    for member in classes.ENUMERATORS[cid](args.n):
+        print(member.to_text())
     return 0
 
 
@@ -122,23 +116,10 @@ def _cmd_map(args) -> int:
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    fn, takes_graph = _MAPS[args.name]
+    arg = OddFerrersGraph(p) if takes_graph else p
     try:
-        if args.name == "phi":
-            out = bijections.phi(OddFerrersGraph(p), check=args.check)
-        elif args.name == "phi-inverse":
-            out = bijections.phi_inverse(p).shape
-        elif args.name == "o-to-d":
-            out = bijections.o_to_d(OddFerrersGraph(p))
-        elif args.name == "d-to-o":
-            out = bijections.d_to_o(p).shape
-        elif args.name == "d-to-do":
-            out = bijections.d_to_do(p)
-        elif args.name == "do-to-d":
-            out = bijections.do_to_d(p)
-        elif args.name == "sc-to-distinct-odd":
-            out = bijections.sc_to_distinct_odd(p)
-        else:
-            out = bijections.distinct_odd_to_sc(p)
+        out = fn(arg, check=args.check) if args.name == "phi" else fn(arg)
     except OddFerrersError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -156,41 +137,46 @@ def _verify_counts(n: int, series) -> tuple[bool, str]:
 
 def _verify_roundtrips(n: int) -> tuple[bool, str]:
     o_members = classes.enumerate_O(n)
-    s_members = classes.enumerate_S(n)
     d_members = classes.enumerate_D(n)
-    do_members = classes.enumerate_DO(n)
-
-    images = [bijections.phi(g, check=True) for g in o_members]
-    if sorted(p.parts for p in images) != sorted(p.parts for p in s_members):
-        return False, f"phi image of O_{2*n+1} differs from S_{4*n+1}: {sorted(p.parts for p in images)}"
-    for g, img in zip(o_members, images):
-        back = bijections.phi_inverse(img)
-        if back.shape != g.shape:
-            return False, f"phi_inverse(phi({g.shape.parts})) = {back.shape.parts}"
-    for p in s_members:
-        if bijections.phi(bijections.phi_inverse(p)) != p:
-            return False, f"phi(phi_inverse({p.parts})) mismatch"
-
-    d_images = [bijections.o_to_d(g) for g in o_members]
-    if sorted(p.parts for p in d_images) != sorted(p.parts for p in d_members):
-        return False, f"o_to_d image of O_{2*n+1} differs from D_{2*n+1}"
-    for g in o_members:
-        if bijections.d_to_o(bijections.o_to_d(g)).shape != g.shape:
-            return False, f"d_to_o(o_to_d({g.shape.parts})) mismatch"
-    for p in d_members:
-        if bijections.o_to_d(bijections.d_to_o(p)) != p:
-            return False, f"o_to_d(d_to_o({p.parts})) mismatch"
-
-    do_images = [bijections.d_to_do(p) for p in d_members]
-    if sorted(p.parts for p in do_images) != sorted(p.parts for p in do_members):
-        return False, f"d_to_do image of D_{2*n+1} differs from DO_{4*n+1}"
-    for p in d_members:
-        if bijections.do_to_d(bijections.d_to_do(p)) != p:
-            return False, f"do_to_d(d_to_do({p.parts})) mismatch"
-    for p in do_members:
-        if bijections.d_to_do(bijections.do_to_d(p)) != p:
-            return False, f"d_to_do(do_to_d({p.parts})) mismatch"
+    maps = [
+        ("phi", o_members, lambda g: bijections.phi(g, check=True), bijections.phi_inverse,
+         classes.enumerate_S(n)),
+        ("o_to_d", o_members, bijections.o_to_d, bijections.d_to_o, d_members),
+        ("d_to_do", d_members, bijections.d_to_do, bijections.do_to_d, classes.enumerate_DO(n)),
+    ]
+    for name, sources, forward, inverse, targets in maps:
+        images = [forward(x) for x in sources]
+        image_texts = sorted(y.to_text() for y in images)
+        if image_texts != sorted(y.to_text() for y in targets):
+            return False, f"{name} image differs from its target class: {image_texts}"
+        for x, y in zip(sources, images):
+            if inverse(y) != x:
+                return False, f"inverse of {name} does not give back {x.to_text()}"
+        for y in targets:
+            if forward(inverse(y)) != y:
+                return False, f"{name} of its inverse does not give back {y.to_text()}"
     return True, ""
+
+
+def _verify_series(n: int, base, wider) -> tuple[bool, str]:
+    nonneg = base[n] >= 0
+    stable = base[n] == wider[n]
+    s_count = classes.count(ClassId.S, n)
+    ok = nonneg and stable and base[n] == s_count
+    return ok, f"coeff={base[n]} wider={wider[n]} S={s_count}"
+
+
+def _report(name: str, max_n: int, check, failures: int) -> int:
+    """Print one PASS/FAIL line per n, and the first counterexample of the
+    whole run; return the failure total so far."""
+    print(f"# {name} 0..{max_n}")
+    for n in range(max_n + 1):
+        ok, detail = check(n)
+        print(f"{n}\t{'PASS' if ok else 'FAIL'}" + ("" if ok else f"\t{detail}"))
+        if not ok and failures == 0:
+            print(f"first counterexample: n={n} {detail}")
+        failures += 0 if ok else 1
+    return failures
 
 
 def _cmd_verify(args) -> int:
@@ -199,37 +185,15 @@ def _cmd_verify(args) -> int:
     if checks in ("all", "counts"):
         max_n = args.max_n if args.max_n is not None else 40
         series = qseries.nu_series(-1, max_n)
-        print(f"# counts 0..{max_n}")
-        for n in range(max_n + 1):
-            ok, detail = _verify_counts(n, series)
-            print(f"{n}\t{'PASS' if ok else 'FAIL'}" + ("" if ok else f"\t{detail}"))
-            if not ok and failures == 0:
-                print(f"first counterexample: n={n} {detail}")
-            failures += 0 if ok else 1
+        failures = _report("counts", max_n, lambda n: _verify_counts(n, series), failures)
     if checks in ("all", "roundtrips"):
         max_n = args.max_n if args.max_n is not None else 25
-        print(f"# roundtrips 0..{max_n}")
-        for n in range(max_n + 1):
-            ok, detail = _verify_roundtrips(n)
-            print(f"{n}\t{'PASS' if ok else 'FAIL'}" + ("" if ok else f"\t{detail}"))
-            if not ok and failures == 0:
-                print(f"first counterexample: n={n} {detail}")
-            failures += 0 if ok else 1
+        failures = _report("roundtrips", max_n, _verify_roundtrips, failures)
     if checks in ("all", "series"):
         max_n = args.max_n if args.max_n is not None else 40
         base = qseries.nu_series(-1, max_n)
         wider = qseries.nu_series(-1, max_n + 50)
-        print(f"# series 0..{max_n}")
-        for n in range(max_n + 1):
-            nonneg = base[n] >= 0
-            stable = base[n] == wider[n]
-            s_count = classes.count(ClassId.S, n)
-            ok = nonneg and stable and base[n] == s_count
-            detail = f"coeff={base[n]} wider={wider[n]} S={s_count}"
-            print(f"{n}\t{'PASS' if ok else 'FAIL'}" + ("" if ok else f"\t{detail}"))
-            if not ok and failures == 0:
-                print(f"first counterexample: n={n} {detail}")
-            failures += 0 if ok else 1
+        failures = _report("series", max_n, lambda n: _verify_series(n, base, wider), failures)
     return 0 if failures == 0 else 1
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotSelfConjugate
 from .partitions import Partition, hook_decompose, is_self_conjugate
 
 
@@ -56,16 +55,8 @@ def is_self_conjugate_graph(g: OddFerrersGraph) -> bool:
 def weighted_hook_sums(g: OddFerrersGraph) -> tuple[int, ...]:
     """Weight of each principal hook: the outermost hook is all border (weight 1
     per cell), inner hooks are all interior (weight 2 per cell)."""
-    if not is_self_conjugate_graph(g):
-        raise NotSelfConjugate(f"shape {g.shape.parts} is not self-conjugate")
     arms = hook_decompose(g.shape).arms
     return tuple((2 * a - 1) if i == 0 else 2 * (2 * a - 1) for i, a in enumerate(arms))
-
-
-def interior_sum(g: OddFerrersGraph) -> int:
-    """Sum of the interior 2s, i.e. everything except the outermost hook."""
-    sums = weighted_hook_sums(g)
-    return sum(sums[1:])
 
 
 def render_ascii(g: OddFerrersGraph) -> str:

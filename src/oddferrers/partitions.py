@@ -28,10 +28,6 @@ class Partition:
         return cls(tuple(parts))
 
     @classmethod
-    def from_iterable(cls, parts: Iterable[int]) -> Partition:
-        return cls(tuple(parts))
-
-    @classmethod
     def from_text(cls, text: str) -> Partition:
         """Parse comma-separated descending parts, e.g. "5,5,5,3,3".
 
@@ -68,54 +64,31 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class Hook:
-    """One principal hook of a self-conjugate partition, stored by its arm length.
+class HookList:
+    """Principal hooks of a self-conjugate partition, outermost first, stored
+    by arm length: positive and strictly decreasing.
 
-    As a partition the hook is arm, 1, 1, ..., 1 (arm - 1 trailing ones), so its
-    cell count is 2*arm - 1, always odd.
+    As a partition a hook of arm a is a, 1, 1, ..., 1 (a - 1 trailing ones),
+    so its cell count is 2a - 1, always odd.
     """
 
-    arm: int
+    arms: tuple[int, ...]
 
     def __post_init__(self):
-        if self.arm < 1:
-            raise ValueError(f"hook arm must be positive, got {self.arm}")
-
-    @property
-    def cell_count(self) -> int:
-        return 2 * self.arm - 1
-
-
-@dataclass(frozen=True)
-class HookList:
-    """Principal hooks of a self-conjugate partition, outermost first."""
-
-    hooks: tuple[Hook, ...]
-
-    def __post_init__(self):
-        arms = [h.arm for h in self.hooks]
-        if any(a >= b for a, b in zip(arms[1:], arms)):
-            raise InvalidHookList(f"hook arms not strictly decreasing: {arms}")
+        arms = self.arms
+        if any(a >= b for a, b in zip(arms[1:], arms)) or (arms and arms[-1] < 1):
+            raise InvalidHookList(f"hook arms not strictly decreasing positive integers: {arms}")
 
     @classmethod
     def from_arms(cls, arms: Iterable[int]) -> HookList:
-        return cls(tuple(Hook(a) for a in arms))
-
-    @property
-    def arms(self) -> tuple[int, ...]:
-        return tuple(h.arm for h in self.hooks)
+        return cls(tuple(arms))
 
     @property
     def cell_counts(self) -> tuple[int, ...]:
-        return tuple(h.cell_count for h in self.hooks)
+        return tuple(2 * a - 1 for a in self.arms)
 
     def __len__(self) -> int:
-        return len(self.hooks)
-
-
-def weight(p: Partition) -> int:
-    """Sum of the parts."""
-    return p.weight
+        return len(self.arms)
 
 
 def conjugate(p: Partition) -> Partition:

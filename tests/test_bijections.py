@@ -17,6 +17,7 @@ from oddferrers.classes import (
     enumerate_S,
     is_in_D,
     is_in_DO,
+    is_in_O,
     is_in_S,
 )
 from oddferrers.errors import (
@@ -25,11 +26,15 @@ from oddferrers.errors import (
     MalformedSClass,
     NotDistinctOdd,
     NotSelfConjugate,
+    OddFerrersError,
 )
 from oddferrers.ferrers import OddFerrersGraph, graph_weight
-from oddferrers.partitions import Partition, hook_decompose
+from oddferrers.partitions import Partition, hook_decompose, is_self_conjugate
+
+import oracles
 
 EXHAUSTIVE_N = 12
+TOTALITY_MAX_WEIGHT = 30
 
 
 def P(*parts):
@@ -94,6 +99,11 @@ class TestPhiInverse:
         bad = distinct_odd_to_sc(P(13, 7, 1))
         with pytest.raises(MalformedSClass):
             phi_inverse(bad)
+
+    def test_rejects_head_hook_not_1_mod_4(self):
+        # (2, 1) is self-conjugate with one hook of 3 cells; weight 3 is not 4n+1
+        with pytest.raises(MalformedSClass):
+            phi_inverse(P(2, 1))
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_roundtrips(self, n):
@@ -185,6 +195,10 @@ class TestDDOBijection:
             do_to_d(P(13, 7, 1))  # pair gap 6
         with pytest.raises(MalformedDOClass):
             do_to_d(P(3, 1))  # even part count
+        with pytest.raises(MalformedDOClass):
+            do_to_d(P(7, 5, 3))  # head 7 is 3 mod 4
+        with pytest.raises(MalformedDOClass):
+            do_to_d(P(8, 6, 4))  # even parts
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_bijectivity(self, n):
@@ -201,3 +215,57 @@ class TestDDOBijection:
         # the direct +-1 formula must agree with the compositional route
         for g in enumerate_O(n):
             assert sc_to_distinct_odd(phi(g)) == d_to_do(o_to_d(g))
+
+
+def _in_O(g):
+    return is_in_O(g, (graph_weight(g) - 1) // 2)
+
+
+def _in_S(p):
+    return is_in_S(p, (p.weight - 1) // 4)
+
+
+def _in_D(p):
+    return is_in_D(p, (p.weight - 1) // 2)
+
+
+def _in_DO(p):
+    return is_in_DO(p, (p.weight - 1) // 4)
+
+
+def _is_distinct_odd(p):
+    return len(set(p.parts)) == len(p.parts) and all(x % 2 == 1 for x in p.parts)
+
+
+# map -> (its inverse, whether it takes an odd Ferrers graph, target-class test)
+TOTAL_MAPS = {
+    phi: (phi_inverse, True, _in_S),
+    phi_inverse: (phi, False, _in_O),
+    o_to_d: (d_to_o, True, _in_D),
+    d_to_o: (o_to_d, False, _in_O),
+    d_to_do: (do_to_d, False, _in_DO),
+    do_to_d: (d_to_do, False, _in_D),
+    sc_to_distinct_odd: (distinct_odd_to_sc, False, _is_distinct_odd),
+    distinct_odd_to_sc: (sc_to_distinct_odd, False, is_self_conjugate),
+}
+
+
+def test_maps_are_total():
+    """Every map, given any partition of weight <= TOTALITY_MAX_WEIGHT, either
+    raises an OddFerrersError or returns a target-class member that its
+    inverse maps back to the input."""
+    violations = []
+    for w in range(TOTALITY_MAX_WEIGHT + 1):
+        for parts in oracles.all_partitions_of(w):
+            p = Partition(parts)
+            for fn, (inverse, takes_graph, in_target) in TOTAL_MAPS.items():
+                if takes_graph and not p:
+                    continue
+                x = OddFerrersGraph(p) if takes_graph else p
+                try:
+                    y = fn(x)
+                except OddFerrersError:
+                    continue
+                if not (in_target(y) and inverse(y) == x):
+                    violations.append((fn.__name__, parts))
+    assert not violations, f"{len(violations)} violations, the first: {violations[:10]}"

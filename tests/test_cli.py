@@ -101,6 +101,11 @@ class TestMap:
         assert code == 1 and "MalformedSClass" in err
         code, _, err = run(capsys, "map", "do-to-d", "--input", "13,7,1")
         assert code == 1 and "MalformedDOClass" in err
+        code, _, err = run(capsys, "map", "phi-inverse", "--input", "2,1")
+        assert code == 1 and "MalformedSClass" in err
+        for text in ("7,5,3", "8,6,4"):
+            code, out, err = run(capsys, "map", "do-to-d", "--input", text)
+            assert (code, out) == (1, "") and "MalformedDOClass" in err
 
     def test_parse_failure_exits_2(self, capsys):
         code, _, err = run(capsys, "map", "phi", "--input", "3,x")

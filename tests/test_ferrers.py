@@ -6,7 +6,6 @@ from oddferrers.errors import NotSelfConjugate
 from oddferrers.ferrers import (
     OddFerrersGraph,
     graph_weight,
-    interior_sum,
     is_self_conjugate_graph,
     render_ascii,
     row_sums,
@@ -98,20 +97,6 @@ class TestWeightedHookSums:
         assert sums[0] == 2 * g.shape.parts[0] - 1
         assert sums[0] % 2 == 1
         assert all(s % 4 == 2 for s in sums[1:])
-
-
-class TestInteriorSum:
-    def test_examples(self):
-        assert interior_sum(graph(3, 3, 2)) == 6
-        assert interior_sum(graph(1)) == 0
-        assert interior_sum(graph(4, 4, 2, 2)) == 10
-
-    @given(sc_shapes)
-    def test_is_weight_minus_border_hook(self, g):
-        sums = weighted_hook_sums(g)
-        t = interior_sum(g)
-        assert t == graph_weight(g) - sums[0]
-        assert t % 2 == 0
 
 
 class TestRender:

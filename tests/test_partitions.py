@@ -4,14 +4,12 @@ from hypothesis import strategies as st
 
 from oddferrers.errors import InvalidHookList, NotSelfConjugate
 from oddferrers.partitions import (
-    Hook,
     HookList,
     Partition,
     conjugate,
     hook_decompose,
     hooks_compose,
     is_self_conjugate,
-    weight,
 )
 
 import oracles
@@ -49,11 +47,11 @@ class TestConstruction:
             Partition.from_text(text)
 
     def test_hook_arm_positive(self):
-        with pytest.raises(ValueError):
-            Hook(0)
+        with pytest.raises(InvalidHookList):
+            HookList.from_arms([0])
 
     def test_hook_cell_count(self):
-        assert Hook(4).cell_count == 7
+        assert HookList.from_arms([4]).cell_counts == (7,)
 
     def test_hook_list_rejects_nondecreasing(self):
         with pytest.raises(InvalidHookList):
@@ -144,9 +142,9 @@ class TestHooksCompose:
 
 class TestWeight:
     def test_examples(self):
-        assert weight(Partition.of(5, 5, 5, 3, 3)) == 21
-        assert weight(Partition()) == 0
-        assert weight(Partition.of(4, 4, 2, 2)) == 12
+        assert Partition.of(5, 5, 5, 3, 3).weight == 21
+        assert Partition().weight == 0
+        assert Partition.of(4, 4, 2, 2).weight == 12
 
 
 def test_roundtrip_all_self_conjugate_up_to_weight_60():
