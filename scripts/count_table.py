@@ -11,7 +11,7 @@ from oddferrers.qseries import nu_series
 
 def main():
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 40
-    series = nu_series(-1, max_n)
+    series = nu_series(max_n)
     print("n\tO\tS\tD\tDO\tseries")
     for n in range(max_n + 1):
         row = [count(c, n) for c in ClassId]

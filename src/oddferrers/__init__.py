@@ -32,7 +32,7 @@ from .bijections import (
     d_to_do,
     do_to_d,
 )
-from .qseries import TruncatedSeries, series_add, series_mul, series_invert, pochhammer_q_odd, nu_series, p_nu
+from .qseries import nu_series
 
 __all__ = [
     "Partition", "HookList", "conjugate", "is_self_conjugate",
@@ -43,8 +43,7 @@ __all__ = [
     "enumerate_O", "enumerate_S", "enumerate_D", "enumerate_DO", "count",
     "phi", "phi_inverse", "sc_to_distinct_odd", "distinct_odd_to_sc",
     "o_to_d", "d_to_o", "d_to_do", "do_to_d",
-    "TruncatedSeries", "series_add", "series_mul", "series_invert",
-    "pochhammer_q_odd", "nu_series", "p_nu",
+    "nu_series",
 ]
 
 __version__ = "0.1.0"

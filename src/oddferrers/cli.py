@@ -3,6 +3,7 @@ rendering of odd Ferrers graphs and their partition classes."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -45,6 +46,7 @@ class _Exit2ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # a parser is a cycle of objects only the garbage collector frees
 def build_parser() -> argparse.ArgumentParser:
     parser = _Exit2ArgumentParser(prog="oddferrers")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,12 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> int:
     ns = range(args.max_n + 1) if args.n is None else [args.n]
-    if any(n < 0 for n in ns):
-        print("error: n must be nonnegative", file=sys.stderr)
-        return 2
     if args.cls == "pnu":
-        order = max(ns)
-        series = qseries.nu_series(-1, order)
+        series = qseries.nu_series(max(ns))
         for n in ns:
             print(f"{n}\t{series[n]}")
     else:
@@ -98,9 +96,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n < 0:
-        print("error: n must be nonnegative", file=sys.stderr)
-        return 2
     cid = ClassId(args.cls)
     if args.format == "json":
         print(json.dumps(classes.to_json_dict(cid, args.n)))
@@ -184,15 +179,15 @@ def _cmd_verify(args) -> int:
     failures = 0
     if checks in ("all", "counts"):
         max_n = args.max_n if args.max_n is not None else 40
-        series = qseries.nu_series(-1, max_n)
+        series = qseries.nu_series(max_n)
         failures = _report("counts", max_n, lambda n: _verify_counts(n, series), failures)
     if checks in ("all", "roundtrips"):
         max_n = args.max_n if args.max_n is not None else 25
         failures = _report("roundtrips", max_n, _verify_roundtrips, failures)
     if checks in ("all", "series"):
         max_n = args.max_n if args.max_n is not None else 40
-        base = qseries.nu_series(-1, max_n)
-        wider = qseries.nu_series(-1, max_n + 50)
+        base = qseries.nu_series(max_n)
+        wider = qseries.nu_series(max_n + 50)
         failures = _report("series", max_n, lambda n: _verify_series(n, base, wider), failures)
     return 0 if failures == 0 else 1
 
@@ -213,9 +208,11 @@ def _cmd_render(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "max_n", None) is not None and args.command == "verify" and args.max_n < 0:
-        print("error: max-n must be nonnegative", file=sys.stderr)
-        return 2
+    for flag in ("n", "max_n"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            print(f"error: {flag.replace('_', '-')} must be nonnegative", file=sys.stderr)
+            return 2
     handlers = {
         "count": _cmd_count,
         "enumerate": _cmd_enumerate,

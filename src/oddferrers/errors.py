@@ -27,15 +27,3 @@ class MalformedDClass(OddFerrersError):
 
 class MalformedDOClass(OddFerrersError):
     """Input violates the structure of the distinct-odd-parts class."""
-
-
-class SeriesError(OddFerrersError):
-    """Base class for truncated-series errors."""
-
-
-class TruncationMismatch(SeriesError):
-    """Mixed truncation orders in a series operation."""
-
-
-class NonUnitConstantTerm(SeriesError):
-    """Series inversion requires constant term +1 or -1."""

@@ -1,133 +1,25 @@
-"""Truncated integer power series arithmetic, enough to expand Watson's third
-order mock theta series at -q and read off its coefficients as an independent
-count oracle."""
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .errors import NonUnitConstantTerm, TruncationMismatch
+"""Expansion of Watson's third order mock theta function nu at -q, whose
+coefficients are an independent count oracle for the four classes."""
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Integer coefficients c_0..c_N of a power series truncated at order N."""
+def nu_series(order: int) -> tuple[int, ...]:
+    """Coefficients 0..order of nu(-q) = sum over n of
+    q^(n(n+1)) / prod_{k<=n} (1 - q^(2k+1)).
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a truncated series needs at least the constant term")
-
-    @classmethod
-    def zero(cls, order: int) -> TruncatedSeries:
-        return cls((0,) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> TruncatedSeries:
-        return cls((1,) + (0,) * order)
-
-    @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> TruncatedSeries:
-        c = [0] * (order + 1)
-        if exponent <= order:
-            c[exponent] = coeff
-        return cls(tuple(c))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> int:
-        if not 0 <= k <= self.order:
-            raise TruncationMismatch(f"coefficient index {k} beyond order {self.order}")
-        return self.coeffs[k]
-
-
-def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> int:
-    if a.order != b.order:
-        raise TruncationMismatch(f"mixed truncation orders {a.order} and {b.order}")
-    return a.order
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    _check_orders(a, b)
-    return TruncatedSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    n = _check_orders(a, b)
-    out = [0] * (n + 1)
-    for i, x in enumerate(a.coeffs):
-        if x == 0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += x * b.coeffs[j]
-    return TruncatedSeries(tuple(out))
-
-
-def series_invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse by the standard recursive coefficient solve;
-    requires constant term +1 or -1 so the inverse stays integral."""
-    c0 = a.coeffs[0]
-    if c0 not in (1, -1):
-        raise NonUnitConstantTerm(f"constant term {c0} is not a unit")
-    n = a.order
-    inv = [0] * (n + 1)
-    inv[0] = c0
-    for k in range(1, n + 1):
-        acc = sum(a.coeffs[j] * inv[k - j] for j in range(1, k + 1))
-        inv[k] = -c0 * acc
-    return TruncatedSeries(tuple(inv))
-
-
-def pochhammer_q_odd(sign: int, count: int, order: int) -> TruncatedSeries:
-    """The product of (1 - sign*q^(2k+1)) for k = 0..count-1, truncated.
-
-    This is the q-Pochhammer factor in base q^2 with argument sign*q; an empty
-    product (count = 0) is 1.
+    One running quotient c = 1/prod_{k<n}(1 - q^(2k+1)) is divided by the
+    next factor in place, ascending so that c[i - e] is already divided,
+    then added in shifted by n(n+1); terms with n(n+1) > order only reach
+    beyond the truncation.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    result = TruncatedSeries.one(order)
-    for k in range(count):
-        exp = 2 * k + 1
-        if exp > order:
-            break
-        factor = series_add(
-            TruncatedSeries.one(order), TruncatedSeries.monomial(exp, order, -sign)
-        )
-        result = series_mul(result, factor)
-    return result
-
-
-def nu_series(sign_of_argument: int, order: int) -> TruncatedSeries:
-    """Expansion of the third order mock theta function nu at sign_of_argument*q.
-
-    Sums q^(n(n+1)) times the inverse Pochhammer factor over all n with
-    n(n+1) <= order; higher terms only contribute above the truncation.
-    Substituting q -> -q flips the Pochhammer sign and leaves q^(n(n+1))
-    unchanged since n(n+1) is even.
-    """
-    if sign_of_argument not in (1, -1):
-        raise ValueError(f"sign_of_argument must be +1 or -1, got {sign_of_argument}")
-    s = -sign_of_argument
-    total = TruncatedSeries.zero(order)
+    c = [1] + [0] * order
+    total = [0] * (order + 1)
     n = 0
     while n * (n + 1) <= order:
-        term = series_mul(
-            TruncatedSeries.monomial(n * (n + 1), order),
-            series_invert(pochhammer_q_odd(s, n + 1, order)),
-        )
-        total = series_add(total, term)
+        e = 2 * n + 1
+        for i in range(e, order + 1):
+            c[i] += c[i - e]
+        shift = n * (n + 1)
+        for i in range(order + 1 - shift):
+            total[shift + i] += c[i]
         n += 1
-    return total
-
-
-def p_nu(n: int, order: int | None = None) -> int:
-    """Coefficient of q^n in the expansion at -q; independent of the
-    truncation order as long as order >= n."""
-    if order is None:
-        order = n
-    if n > order:
-        raise TruncationMismatch(f"coefficient {n} beyond truncation order {order}")
-    return nu_series(-1, order)[n]
+    return tuple(total)

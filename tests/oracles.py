@@ -144,3 +144,26 @@ def naive_DO(n):
         if all(p[j] % 4 == 3 and p[j] - p[j + 1] == 2 for j in range(1, len(p), 2)):
             out.append(p)
     return sorted(out, reverse=True)
+
+
+def naive_nu_minus_q(order):
+    """Coefficients 0..order of nu(-q) on bare lists: each product
+    prod_{k<=n} (1 - q^(2k+1)) multiplied out schoolbook, inverted by the
+    recursive coefficient solve, shifted by n(n+1) and summed."""
+    total = [0] * (order + 1)
+    n = 0
+    while n * (n + 1) <= order:
+        prod = [1] + [0] * order
+        for k in range(n + 1):
+            factor = [1] + [0] * order
+            if 2 * k + 1 <= order:
+                factor[2 * k + 1] = -1
+            prod = [sum(prod[j] * factor[i - j] for j in range(i + 1)) for i in range(order + 1)]
+        inv = [1] + [0] * order
+        for i in range(1, order + 1):
+            inv[i] = -sum(prod[j] * inv[i - j] for j in range(1, i + 1))
+        shift = n * (n + 1)
+        for i in range(order + 1 - shift):
+            total[shift + i] += inv[i]
+        n += 1
+    return total

@@ -218,3 +218,5 @@ def test_classes_does_not_reach_bijections_or_qseries():
     # the reader sees both import forms
     assert {"bijections", "qseries"} <= _package_imports("cli")
     assert "partitions" in _package_imports("classes")
+    # the series shares no code with the enumerators or phi
+    assert _package_imports("qseries") == set()

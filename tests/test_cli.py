@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from oddferrers.classes import ClassId, count
 from oddferrers.cli import main
+from oddferrers.qseries import nu_series
 
 
 def run(capsys, *argv):
@@ -31,6 +33,17 @@ class TestCount:
     def test_negative_n(self, capsys):
         code, _, _ = run(capsys, "count", "--class", "S", "--n", "-1")
         assert code == 2
+
+    def test_pnu_to_ten_thousand(self, capsys):
+        code, out, _ = run(capsys, "count", "--class", "pnu", "--max-n", "10000")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 10001
+        values = [int(line.split("\t")[1]) for line in lines]
+        assert all(v > 0 for v in values)
+        assert lines[:201] == [f"{n}\t{c}" for n, c in enumerate(nu_series(200))]
+        assert lines[100] == "100\t13396"
+        assert {count(c, 100) for c in (ClassId.O, ClassId.D, ClassId.DO)} == {13396}
 
     def test_bad_class(self):
         with pytest.raises(SystemExit) as exc:
@@ -172,6 +185,19 @@ class TestRender:
     def test_parse_failure_exits_2(self, capsys):
         code, _, _ = run(capsys, "render", "--shape", "a,b")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--class", "S", "--max-n", "-1"],
+    ["count", "--class", "pnu", "--max-n", "-1"],
+    ["enumerate", "--class", "S", "--n", "-1"],
+    ["verify", "--max-n", "-1"],
+], ids=["count-S", "count-pnu", "enumerate", "verify"])
+def test_negative_bound_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be nonnegative" in err
 
 
 def test_console_entry_point():
