@@ -13,6 +13,10 @@ from .errors import OddFerrersError
 from .ferrers import OddFerrersGraph
 from .partitions import Partition
 
+# `render` refuses a shape with more cells than this; its ascii diagram is
+# one character per cell
+RENDER_MAX_CELLS = 10**6
+
 # map name -> (bijection, whether its input is an odd Ferrers graph)
 _MAPS = {
     "phi": (bijections.phi, True),
@@ -197,6 +201,10 @@ def _cmd_render(args) -> int:
         shape = _parse_partition(args.shape)
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if shape.weight > RENDER_MAX_CELLS:
+        print(f"error: shape has {shape.weight} cells, more than the {RENDER_MAX_CELLS} "
+              "that render accepts", file=sys.stderr)
         return 2
     g = OddFerrersGraph(shape)
     if args.format == "json":

@@ -1,9 +1,10 @@
 """Integer partitions, conjugation, and principal-hook decomposition."""
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidHookList, NotSelfConjugate
 
@@ -17,11 +18,15 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for i, p in enumerate(self.parts):
+        parts = self.parts
+        if not parts or (parts[-1] >= 1 and all(map(operator.ge, parts, parts[1:]))):
+            return
+        # only an invalid tuple gets here; find its first fault for the message
+        for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError(f"part {p!r} is not a positive integer")
-            if i > 0 and self.parts[i - 1] < p:
-                raise ValueError(f"parts not weakly decreasing at index {i}: {self.parts}")
+            if i > 0 and parts[i - 1] < p:
+                raise ValueError(f"parts not weakly decreasing at index {i}: {parts}")
 
     @classmethod
     def of(cls, *parts: int) -> Partition:
@@ -76,7 +81,7 @@ class HookList:
 
     def __post_init__(self):
         arms = self.arms
-        if any(a >= b for a, b in zip(arms[1:], arms)) or (arms and arms[-1] < 1):
+        if arms and not (arms[-1] >= 1 and all(map(operator.gt, arms, arms[1:]))):
             raise InvalidHookList(f"hook arms not strictly decreasing positive integers: {arms}")
 
     @classmethod
@@ -91,19 +96,36 @@ class HookList:
         return len(self.arms)
 
 
+def _columns(rows: Sequence[int], start: int = 0) -> list[int]:
+    """Column lengths start, start + 1, ..., rows[0] - 1 of the diagram with the
+    given nonincreasing rows: column c is the number of rows longer than c.
+
+    One pointer walks down the rows as c grows, so the cost is
+    O(len(rows) + rows[0] - start), not one step per cell.
+    """
+    cols = []
+    k = len(rows)
+    for c in range(start, rows[0]):
+        while rows[k - 1] <= c:
+            k -= 1
+        cols.append(k)
+    return cols
+
+
 def conjugate(p: Partition) -> Partition:
     """Transpose of the Ferrers diagram."""
     if not p.parts:
         return Partition()
-    cols = [0] * p.parts[0]
-    for part in p.parts:
-        for j in range(part):
-            cols[j] += 1
-    return Partition(tuple(cols))
+    return Partition(tuple(_columns(p.parts)))
 
 
 def is_self_conjugate(p: Partition) -> bool:
-    return conjugate(p) == p
+    parts = p.parts
+    if not parts:
+        return True
+    # the first row and the first column have equal length, a test that costs
+    # nothing and spares building the columns of a long thin shape
+    return parts[0] == len(parts) and tuple(_columns(parts)) == parts
 
 
 def hook_decompose(p: Partition) -> HookList:
@@ -111,10 +133,10 @@ def hook_decompose(p: Partition) -> HookList:
     if not is_self_conjugate(p):
         raise NotSelfConjugate(f"{p.parts} is not self-conjugate")
     arms = []
-    i = 0
-    while i < len(p.parts) and p.parts[i] > i:
-        arms.append(p.parts[i] - i)
-        i += 1
+    for i, part in enumerate(p.parts):
+        if part <= i:
+            break
+        arms.append(part - i)
     return HookList.from_arms(arms)
 
 
@@ -123,9 +145,8 @@ def hooks_compose(hl: HookList) -> Partition:
     arms = hl.arms
     if not arms:
         return Partition()
-    d = len(arms)
-    parts = [arms[i] + i for i in range(d)]
-    # rows below the Durfee square, by self-conjugacy
-    for i in range(d, arms[0]):
-        parts.append(sum(1 for j in range(d) if arms[j] + j > i))
-    return Partition(tuple(parts))
+    # rows of the Durfee square are a_i + i; by self-conjugacy the rows below
+    # it are the square rows' columns from d on
+    rows = [a + i for i, a in enumerate(arms)]
+    rows += _columns(rows, len(arms))
+    return Partition(tuple(rows))

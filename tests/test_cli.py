@@ -120,6 +120,12 @@ class TestMap:
             code, out, err = run(capsys, "map", "do-to-d", "--input", text)
             assert (code, out) == (1, "") and "MalformedDOClass" in err
 
+    @pytest.mark.parametrize("name", ["phi", "phi-inverse", "o-to-d", "sc-to-distinct-odd"])
+    def test_long_single_row_exits_1(self, capsys, name):
+        # refused on its first row alone, before any column of it is built
+        code, out, err = run(capsys, "map", name, "--input", "100000000")
+        assert (code, out) == (1, "") and "NotSelfConjugate" in err
+
     def test_parse_failure_exits_2(self, capsys):
         code, _, err = run(capsys, "map", "phi", "--input", "3,x")
         assert code == 2 and "parse" in err
@@ -185,6 +191,19 @@ class TestRender:
     def test_parse_failure_exits_2(self, capsys):
         code, _, _ = run(capsys, "render", "--shape", "a,b")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["ascii", "json"])
+    @pytest.mark.parametrize("shape", ["999999,2", "100000000"])
+    def test_shape_over_cell_limit_exits_2(self, capsys, shape, fmt):
+        code, out, err = run(capsys, "render", "--shape", shape, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "1000000" in err
+
+    def test_shape_at_cell_limit_renders(self, capsys):
+        code, out, err = run(capsys, "render", "--shape", "999999,1")
+        assert code == 0 and err == ""
+        assert out == "1" * 999999 + "\n1\n"
 
 
 @pytest.mark.parametrize("argv", [

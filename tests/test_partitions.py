@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,17 @@ class TestConstruction:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Partition((3, 0))
+
+    @pytest.mark.parametrize("parts, message", [
+        ((2, 3), "parts not weakly decreasing at index 1: (2, 3)"),
+        ((3, 0), "part 0 is not a positive integer"),
+        ((0,), "part 0 is not a positive integer"),
+        ((3, 1, 2), "parts not weakly decreasing at index 2: (3, 1, 2)"),
+    ])
+    def test_rejection_messages(self, parts, message):
+        with pytest.raises(ValueError) as info:
+            Partition(parts)
+        assert str(info.value) == message
 
     def test_empty_allowed(self):
         assert Partition().weight == 0
@@ -114,6 +127,19 @@ class TestHookDecompose:
         p = hooks_compose(HookList.from_arms(sorted(arms, reverse=True)))
         assert hook_decompose(p).cell_counts == oracles.hook_cell_counts_cellwalk(p.parts)
 
+    def test_rejects_a_long_row_without_building_its_columns(self):
+        # a self-conjugate shape has as many rows as its first row has cells,
+        # so a single part of 10**7 is refused before any column is built
+        p = Partition((10**7,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotSelfConjugate):
+                hook_decompose(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestHooksCompose:
     def test_worked_examples(self):
@@ -154,3 +180,11 @@ def test_roundtrip_all_self_conjugate_up_to_weight_60():
             assert is_self_conjugate(p)
             assert hooks_compose(hook_decompose(p)) == p
             assert hook_decompose(p).cell_counts == tuple(parts)
+
+
+def test_conjugate_and_self_conjugacy_match_cell_oracle_up_to_weight_20():
+    for w in range(21):
+        for parts in oracles.all_partitions_of(w):
+            p = Partition(parts)
+            assert conjugate(p).parts == oracles.transpose_cells(parts)
+            assert is_self_conjugate(p) == oracles.is_sc(parts)
