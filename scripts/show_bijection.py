@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Walk every self-conjugate odd Ferrers graph at a given index through the
-hook-doubling map, showing the diagram, its hook sums, and its image.
+hook-doubling map, showing the diagram, its image, and its D-class form (the
+graph's weighted hook sums).
 
 Usage: python scripts/show_bijection.py [N]
 """
@@ -8,7 +9,7 @@ import sys
 
 from oddferrers.bijections import o_to_d, phi, sc_to_distinct_odd
 from oddferrers.classes import enumerate_O
-from oddferrers.ferrers import graph_weight, render_ascii, weighted_hook_sums
+from oddferrers.ferrers import graph_weight, render_ascii
 
 
 def main():
@@ -17,7 +18,6 @@ def main():
         image = phi(g, check=True)
         print(f"shape {g.to_text()}  (weight {graph_weight(g)})")
         print(render_ascii(g))
-        print(f"  weighted hook sums : {list(weighted_hook_sums(g))}")
         print(f"  image under phi    : {image.to_text()}")
         print(f"  distinct-odd form  : {sc_to_distinct_odd(image).to_text()}")
         print(f"  D-class form       : {o_to_d(g).to_text()}")

@@ -1,13 +1,11 @@
 """Self-conjugate odd Ferrers graphs, their partition classes, the bijections
 between them, and a mock theta series count oracle."""
 
-from .partitions import Partition, HookList, conjugate, is_self_conjugate, hook_decompose, hooks_compose
+from .partitions import Partition, conjugate, is_self_conjugate, hook_decompose, hooks_compose
 from .ferrers import (
     OddFerrersGraph,
     graph_weight,
     row_sums,
-    is_self_conjugate_graph,
-    weighted_hook_sums,
     render_ascii,
 )
 from .classes import (
@@ -35,10 +33,9 @@ from .bijections import (
 from .qseries import nu_series
 
 __all__ = [
-    "Partition", "HookList", "conjugate", "is_self_conjugate",
+    "Partition", "conjugate", "is_self_conjugate",
     "hook_decompose", "hooks_compose",
-    "OddFerrersGraph", "graph_weight", "row_sums", "is_self_conjugate_graph",
-    "weighted_hook_sums", "render_ascii",
+    "OddFerrersGraph", "graph_weight", "row_sums", "render_ascii",
     "ClassId", "is_in_O", "is_in_S", "is_in_D", "is_in_DO",
     "enumerate_O", "enumerate_S", "enumerate_D", "enumerate_DO", "count",
     "phi", "phi_inverse", "sc_to_distinct_odd", "distinct_odd_to_sc",

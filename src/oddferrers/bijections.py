@@ -24,21 +24,21 @@ from .errors import (
 )
 from .ferrers import OddFerrersGraph, graph_weight
 from .classes import is_in_S
-from .partitions import HookList, Partition, hook_decompose, hooks_compose
+from .partitions import Partition, hook_decompose, hooks_compose
 
 
 def _decode_O(g: OddFerrersGraph) -> tuple[int, ...]:
-    return hook_decompose(g.shape).arms
+    return hook_decompose(g.shape)
 
 
 def _encode_O(arms: tuple[int, ...]) -> OddFerrersGraph:
-    return OddFerrersGraph(hooks_compose(HookList(arms)))
+    return OddFerrersGraph(hooks_compose(arms))
 
 
 def _decode_S(p: Partition) -> tuple[int, ...]:
     """An odd number of hooks: an odd head arm (cells 1 mod 4), then pairs
     of arms (2a, 2a - 1)."""
-    arms = hook_decompose(p).arms
+    arms = hook_decompose(p)
     if len(arms) % 2 == 0 or arms[0] % 2 == 0:
         raise MalformedSClass(f"hook arms {arms} of {p.parts} are not an odd head and pairs")
     if any(x % 2 or x - y != 1 for x, y in zip(arms[1::2], arms[2::2])):
@@ -48,7 +48,7 @@ def _decode_S(p: Partition) -> tuple[int, ...]:
 
 def _encode_S(arms: tuple[int, ...]) -> Partition:
     pairs = tuple(x for a in arms[1:] for x in (2 * a, 2 * a - 1))
-    return hooks_compose(HookList((2 * arms[0] - 1,) + pairs))
+    return hooks_compose((2 * arms[0] - 1,) + pairs)
 
 
 def _decode_D(p: Partition) -> tuple[int, ...]:
@@ -113,7 +113,7 @@ def phi_inverse(p: Partition) -> OddFerrersGraph:
 
 def sc_to_distinct_odd(p: Partition) -> Partition:
     """Principal hook cell counts of a self-conjugate partition, as parts."""
-    return Partition(hook_decompose(p).cell_counts)
+    return Partition(tuple(2 * a - 1 for a in hook_decompose(p)))
 
 
 def distinct_odd_to_sc(p: Partition) -> Partition:
@@ -121,7 +121,7 @@ def distinct_odd_to_sc(p: Partition) -> Partition:
     of arm (c+1)/2."""
     if len(set(p.parts)) != len(p.parts) or any(x % 2 == 0 for x in p.parts):
         raise NotDistinctOdd(f"{p.parts} is not a partition into distinct odd parts")
-    return hooks_compose(HookList.from_arms([(c + 1) // 2 for c in p.parts]))
+    return hooks_compose([(c + 1) // 2 for c in p.parts])
 
 
 def o_to_d(g: OddFerrersGraph) -> Partition:

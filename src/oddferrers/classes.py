@@ -9,8 +9,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator
 
-from .ferrers import OddFerrersGraph, graph_weight, is_self_conjugate_graph
-from .partitions import Partition, HookList, hooks_compose, is_self_conjugate
+from .ferrers import OddFerrersGraph, graph_weight
+from .partitions import Partition, hooks_compose, is_self_conjugate
 
 
 class ClassId(Enum):
@@ -31,7 +31,7 @@ def is_in_S(p: Partition, n: int) -> bool:
 
 def is_in_O(g: OddFerrersGraph, n: int) -> bool:
     """Self-conjugate odd Ferrers graph of total weight 2n+1."""
-    return graph_weight(g) == 2 * n + 1 and is_self_conjugate_graph(g)
+    return graph_weight(g) == 2 * n + 1 and is_self_conjugate(g.shape)
 
 
 def is_in_D(p: Partition, n: int) -> bool:
@@ -91,8 +91,7 @@ def _iter_O_arms(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_O(n: int) -> list[OddFerrersGraph]:
-    shapes = sorted((hooks_compose(HookList.from_arms(arms)).parts for arms in _iter_O_arms(n)),
-                    reverse=True)
+    shapes = sorted((hooks_compose(arms).parts for arms in _iter_O_arms(n)), reverse=True)
     return [OddFerrersGraph(Partition(s)) for s in shapes]
 
 
@@ -129,7 +128,7 @@ def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             if i % 2 == 0 and last_row > i:  # rule 3
                 return
-            parts = hooks_compose(HookList.from_arms(arms)).parts
+            parts = hooks_compose(arms).parts
             if all(x % 2 == 1 for x in parts):
                 yield parts
             return

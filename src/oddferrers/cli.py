@@ -9,13 +9,9 @@ import sys
 
 from . import bijections, classes, ferrers, qseries
 from .classes import ClassId
-from .errors import OddFerrersError
+from .errors import OddFerrersError, TooLarge
 from .ferrers import OddFerrersGraph
-from .partitions import Partition
-
-# `render` refuses a shape with more cells than this; its ascii diagram is
-# one character per cell
-RENDER_MAX_CELLS = 10**6
+from .partitions import MAX_CELLS, Partition
 
 # map name -> (bijection, whether its input is an odd Ferrers graph)
 _MAPS = {
@@ -44,15 +40,9 @@ def _parse_partition(text: str) -> Partition:
     return p
 
 
-class _Exit2ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
 @functools.cache  # a parser is a cycle of objects only the garbage collector frees
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Exit2ArgumentParser(prog="oddferrers")
+    parser = argparse.ArgumentParser(prog="oddferrers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="count class members")
@@ -119,6 +109,10 @@ def _cmd_map(args) -> int:
     arg = OddFerrersGraph(p) if takes_graph else p
     try:
         out = fn(arg, check=args.check) if args.name == "phi" else fn(arg)
+    except TooLarge as exc:
+        # exit 1 is kept for inputs that are not class members
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OddFerrersError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -202,8 +196,9 @@ def _cmd_render(args) -> int:
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if shape.weight > RENDER_MAX_CELLS:
-        print(f"error: shape has {shape.weight} cells, more than the {RENDER_MAX_CELLS} "
+    # the ascii diagram is one character per cell
+    if shape.weight > MAX_CELLS:
+        print(f"error: shape has {shape.weight} cells, more than the {MAX_CELLS} "
               "that render accepts", file=sys.stderr)
         return 2
     g = OddFerrersGraph(shape)

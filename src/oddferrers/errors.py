@@ -27,3 +27,7 @@ class MalformedDClass(OddFerrersError):
 
 class MalformedDOClass(OddFerrersError):
     """Input violates the structure of the distinct-odd-parts class."""
+
+
+class TooLarge(OddFerrersError):
+    """The shape to be built has more cells than the package allows."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition, hook_decompose, is_self_conjugate
+from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -20,10 +20,6 @@ class OddFerrersGraph:
     def __post_init__(self):
         if not self.shape:
             raise ValueError("odd Ferrers graph shape must be nonempty")
-
-    @classmethod
-    def from_text(cls, text: str) -> OddFerrersGraph:
-        return cls(Partition.from_text(text))
 
     def to_text(self) -> str:
         return self.shape.to_text()
@@ -46,17 +42,6 @@ def row_sums(g: OddFerrersGraph) -> tuple[int, ...]:
             # first cell is border, the remaining row-1 cells weigh 2
             out.append(1 + 2 * (row - 1))
     return tuple(out)
-
-
-def is_self_conjugate_graph(g: OddFerrersGraph) -> bool:
-    return is_self_conjugate(g.shape)
-
-
-def weighted_hook_sums(g: OddFerrersGraph) -> tuple[int, ...]:
-    """Weight of each principal hook: the outermost hook is all border (weight 1
-    per cell), inner hooks are all interior (weight 2 per cell)."""
-    arms = hook_decompose(g.shape).arms
-    return tuple((2 * a - 1) if i == 0 else 2 * (2 * a - 1) for i, a in enumerate(arms))
 
 
 def render_ascii(g: OddFerrersGraph) -> str:

@@ -4,11 +4,15 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import InvalidHookList, NotSelfConjugate
+from .errors import InvalidHookList, NotSelfConjugate, TooLarge
 
 _DIGITS = re.compile("[0-9]+")
+
+# the most cells a composed shape may have; `hooks_compose` refuses more
+# before it builds a row, and the CLI's `render` refuses a larger shape
+MAX_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -68,34 +72,6 @@ class Partition:
         return bool(self.parts)
 
 
-@dataclass(frozen=True)
-class HookList:
-    """Principal hooks of a self-conjugate partition, outermost first, stored
-    by arm length: positive and strictly decreasing.
-
-    As a partition a hook of arm a is a, 1, 1, ..., 1 (a - 1 trailing ones),
-    so its cell count is 2a - 1, always odd.
-    """
-
-    arms: tuple[int, ...]
-
-    def __post_init__(self):
-        arms = self.arms
-        if arms and not (arms[-1] >= 1 and all(map(operator.gt, arms, arms[1:]))):
-            raise InvalidHookList(f"hook arms not strictly decreasing positive integers: {arms}")
-
-    @classmethod
-    def from_arms(cls, arms: Iterable[int]) -> HookList:
-        return cls(tuple(arms))
-
-    @property
-    def cell_counts(self) -> tuple[int, ...]:
-        return tuple(2 * a - 1 for a in self.arms)
-
-    def __len__(self) -> int:
-        return len(self.arms)
-
-
 def _columns(rows: Sequence[int], start: int = 0) -> list[int]:
     """Column lengths start, start + 1, ..., rows[0] - 1 of the diagram with the
     given nonincreasing rows: column c is the number of rows longer than c.
@@ -128,8 +104,9 @@ def is_self_conjugate(p: Partition) -> bool:
     return parts[0] == len(parts) and tuple(_columns(parts)) == parts
 
 
-def hook_decompose(p: Partition) -> HookList:
-    """Principal hooks of a self-conjugate partition, outermost first."""
+def hook_decompose(p: Partition) -> tuple[int, ...]:
+    """Arms of the principal hooks of a self-conjugate partition, outermost
+    first. A hook of arm a is a, 1, 1, ..., 1 as a partition: 2a - 1 cells."""
     if not is_self_conjugate(p):
         raise NotSelfConjugate(f"{p.parts} is not self-conjugate")
     arms = []
@@ -137,14 +114,20 @@ def hook_decompose(p: Partition) -> HookList:
         if part <= i:
             break
         arms.append(part - i)
-    return HookList.from_arms(arms)
+    return tuple(arms)
 
 
-def hooks_compose(hl: HookList) -> Partition:
-    """The unique self-conjugate partition with the given principal hooks."""
-    arms = hl.arms
+def hooks_compose(arms: Sequence[int]) -> Partition:
+    """The unique self-conjugate partition whose principal hooks have these
+    arms, which must be positive and strictly decreasing."""
     if not arms:
         return Partition()
+    if not (arms[-1] >= 1 and all(map(operator.gt, arms, arms[1:]))):
+        raise InvalidHookList(f"hook arms not strictly decreasing positive integers: {tuple(arms)}")
+    cells = 2 * sum(arms) - len(arms)  # counted before any row is built
+    if cells > MAX_CELLS:
+        raise TooLarge(f"the composed shape would have {cells} cells, "
+                       f"more than the {MAX_CELLS} allowed")
     # rows of the Durfee square are a_i + i; by self-conjugacy the rows below
     # it are the square rows' columns from d on
     rows = [a + i for i, a in enumerate(arms)]

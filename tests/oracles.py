@@ -1,7 +1,7 @@
 """Brute-force reference implementations used as independent oracles.
 
-Everything here works on bare tuples and explicit cell sets, deliberately
-avoiding the library's own arithmetic shortcuts.
+Everything here works on bare tuples, explicit cell sets and cell-by-cell
+row layouts, deliberately avoiding the library's own arithmetic shortcuts.
 """
 from functools import lru_cache
 
@@ -53,7 +53,7 @@ def row_sums_cellwalk(shape):
     )
 
 
-def hook_cell_counts_cellwalk(p):
+def hook_sizes_cellwalk(p):
     """Cell counts of the principal hooks, by peeling the cell set."""
     cells = {(i, j) for i, row in enumerate(p) for j in range(row)}
     counts = []
@@ -69,17 +69,16 @@ def hook_cell_counts_cellwalk(p):
 
 def sc_from_distinct_odd_cells(parts):
     """Build the self-conjugate partition with the given hook cell counts by
-    laying out explicit symmetric hooks."""
-    cells = set()
+    laying out symmetric hooks row by row: hook i of arm a puts a cells in
+    row i and one leg cell in each of rows i + 1, ..., i + a - 1."""
+    rows = []
     for i, c in enumerate(sorted(parts, reverse=True)):
         arm = (c + 1) // 2
-        for j in range(i, i + arm):
-            cells.add((i, j))
-            cells.add((j, i))
-    rows = {}
-    for (i, _) in cells:
-        rows[i] = rows.get(i, 0) + 1
-    return tuple(rows[i] for i in sorted(rows))
+        rows += [0] * (i + arm - len(rows))
+        rows[i] += arm
+        for j in range(i + 1, i + arm):
+            rows[j] += 1
+    return tuple(rows)
 
 
 def distinct_odd_partitions_of(m, maxpart=None):

@@ -97,7 +97,7 @@ def test_criterion_4_structural_postconditions_to_25():
             assert image.weight == 2 * graph_weight(g) - 1, f"n={n}: weight law"
             assert all(x % 2 == 1 for x in image.parts), f"n={n}: parts not all odd"
             assert is_self_conjugate(image), f"n={n}: not self-conjugate"
-            counts = hook_decompose(image).cell_counts
+            counts = [2 * a - 1 for a in hook_decompose(image)]
             for j in range(1, len(counts), 2):
                 assert counts[j] - counts[j + 1] == 2, f"n={n}: pairing gap"
 

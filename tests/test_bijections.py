@@ -29,7 +29,7 @@ from oddferrers.errors import (
     OddFerrersError,
 )
 from oddferrers.ferrers import OddFerrersGraph, graph_weight
-from oddferrers.partitions import Partition, hook_decompose, is_self_conjugate
+from oddferrers.partitions import Partition, is_self_conjugate
 
 import oracles
 
@@ -73,7 +73,7 @@ class TestPhi:
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_output_hook_pairing(self, n):
         for g in enumerate_O(n):
-            counts = hook_decompose(phi(g)).cell_counts
+            counts = sc_to_distinct_odd(phi(g)).parts
             assert len(counts) % 2 == 1
             assert counts[0] % 4 == 1
             for j in range(1, len(counts), 2):

@@ -126,6 +126,20 @@ class TestMap:
         code, out, err = run(capsys, "map", name, "--input", "100000000")
         assert (code, out) == (1, "") and "NotSelfConjugate" in err
 
+    @pytest.mark.parametrize("name", ["d-to-o", "distinct-odd-to-sc"])
+    @pytest.mark.parametrize("text", ["1000001", "100000001"])
+    def test_shape_over_cell_cap_exits_2(self, capsys, name, text):
+        # one odd part c composes a hook of c cells; refused before any row
+        code, out, err = run(capsys, "map", name, "--input", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "1000000" in err
+
+    @pytest.mark.parametrize("name", ["d-to-o", "distinct-odd-to-sc"])
+    def test_shape_under_cell_cap_is_composed(self, capsys, name):
+        code, out, err = run(capsys, "map", name, "--input", "999999")
+        assert (code, err) == (0, "")
+        assert out == "500000" + ",1" * 499999 + "\n"
+
     def test_parse_failure_exits_2(self, capsys):
         code, _, err = run(capsys, "map", "phi", "--input", "3,x")
         assert code == 2 and "parse" in err
@@ -233,3 +247,22 @@ def test_no_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["count"],
+    ["count", "--class", "X", "--n", "1"],
+    ["map", "nope", "--input", "1"],
+    ["count", "--class", "O", "--max-n", "x"],
+    ["enumerate", "--class", "O"],
+    ["render"],
+])
+def test_malformed_arguments_print_usage_and_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: oddferrers")
+    assert lines[-1].startswith("oddferrers") and ": error: " in lines[-1]

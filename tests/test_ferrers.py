@@ -2,17 +2,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oddferrers.bijections import o_to_d
+from oddferrers.classes import is_in_O
 from oddferrers.errors import NotSelfConjugate
 from oddferrers.ferrers import (
     OddFerrersGraph,
     graph_weight,
-    is_self_conjugate_graph,
     render_ascii,
     row_sums,
     to_json_dict,
-    weighted_hook_sums,
 )
-from oddferrers.partitions import HookList, Partition, hooks_compose
+from oddferrers.partitions import Partition, hooks_compose
 
 import oracles
 
@@ -25,7 +25,7 @@ shapes = st.lists(st.integers(1, 30), min_size=1, max_size=10).map(
     lambda xs: OddFerrersGraph(Partition(tuple(sorted(xs, reverse=True))))
 )
 sc_shapes = st.sets(st.integers(1, 20), min_size=1, max_size=8).map(
-    lambda arms: OddFerrersGraph(hooks_compose(HookList.from_arms(sorted(arms, reverse=True))))
+    lambda arms: OddFerrersGraph(hooks_compose(sorted(arms, reverse=True)))
 )
 
 
@@ -71,32 +71,37 @@ class TestRowSums:
 
 class TestSelfConjugateGraph:
     def test_examples(self):
-        assert is_self_conjugate_graph(graph(3, 3, 2))
-        assert is_self_conjugate_graph(graph(1))
-        assert not is_self_conjugate_graph(graph(7, 4, 2, 1))
+        assert is_in_O(graph(3, 3, 2), 5)
+        assert is_in_O(graph(1), 0)
+        assert not is_in_O(graph(7, 4, 2, 1), 8)
+        # weight 7 = 2*3 + 1, so only the self-conjugacy test rejects it
+        assert not is_in_O(graph(4, 2), 3)
 
 
 class TestWeightedHookSums:
+    """The weighted hook sums of a graph (1 per border cell, 2 per interior
+    cell) are its D-class form `o_to_d`, as parts sorted descending."""
+
     def test_worked_example(self):
-        assert weighted_hook_sums(graph(3, 3, 2)) == (5, 6)
+        assert o_to_d(graph(3, 3, 2)) == Partition.of(6, 5)
 
     def test_single_cell(self):
-        assert weighted_hook_sums(graph(1)) == (1,)
+        assert o_to_d(graph(1)) == Partition.of(1)
 
     def test_square_example(self):
-        assert weighted_hook_sums(graph(4, 4, 2, 2)) == (7, 10)
+        assert o_to_d(graph(4, 4, 2, 2)) == Partition.of(10, 7)
 
     def test_rejects_non_self_conjugate(self):
         with pytest.raises(NotSelfConjugate):
-            weighted_hook_sums(graph(7, 4, 2, 1))
+            o_to_d(graph(7, 4, 2, 1))
 
     @given(sc_shapes)
     def test_structure(self, g):
-        sums = weighted_hook_sums(g)
+        sums = o_to_d(g).parts
         assert sum(sums) == graph_weight(g)
-        assert sums[0] == 2 * g.shape.parts[0] - 1
-        assert sums[0] % 2 == 1
-        assert all(s % 4 == 2 for s in sums[1:])
+        odds = [s for s in sums if s % 2 == 1]
+        assert odds == [2 * g.shape.parts[0] - 1]
+        assert all(s % 4 == 2 for s in sums if s % 2 == 0)
 
 
 class TestRender:

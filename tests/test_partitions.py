@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddferrers.errors import InvalidHookList, NotSelfConjugate
+from oddferrers.errors import InvalidHookList, NotSelfConjugate, TooLarge
 from oddferrers.partitions import (
-    HookList,
+    MAX_CELLS,
     Partition,
     conjugate,
     hook_decompose,
@@ -61,14 +61,15 @@ class TestConstruction:
 
     def test_hook_arm_positive(self):
         with pytest.raises(InvalidHookList):
-            HookList.from_arms([0])
+            hooks_compose((0,))
 
     def test_hook_cell_count(self):
-        assert HookList.from_arms([4]).cell_counts == (7,)
+        assert hooks_compose((4,)).weight == 7
 
     def test_hook_list_rejects_nondecreasing(self):
-        with pytest.raises(InvalidHookList):
-            HookList.from_arms([3, 3])
+        with pytest.raises(InvalidHookList) as info:
+            hooks_compose([3, 3])
+        assert str(info.value) == "hook arms not strictly decreasing positive integers: (3, 3)"
 
 
 class TestConjugate:
@@ -107,16 +108,13 @@ class TestSelfConjugate:
 
 class TestHookDecompose:
     def test_worked_example(self):
-        assert hook_decompose(Partition.of(4, 4, 2, 2)).arms == (4, 3)
-        assert hook_decompose(Partition.of(4, 4, 2, 2)).cell_counts == (7, 5)
+        assert hook_decompose(Partition.of(4, 4, 2, 2)) == (4, 3)
 
     def test_single_cell(self):
-        assert hook_decompose(Partition.of(1)).arms == (1,)
+        assert hook_decompose(Partition.of(1)) == (1,)
 
     def test_three_hooks(self):
-        hl = hook_decompose(Partition.of(5, 5, 5, 3, 3))
-        assert hl.arms == (5, 4, 3)
-        assert hl.cell_counts == (9, 7, 5)
+        assert hook_decompose(Partition.of(5, 5, 5, 3, 3)) == (5, 4, 3)
 
     def test_rejects_non_self_conjugate(self):
         with pytest.raises(NotSelfConjugate):
@@ -124,8 +122,8 @@ class TestHookDecompose:
 
     @given(arm_sets)
     def test_matches_cell_peeling(self, arms):
-        p = hooks_compose(HookList.from_arms(sorted(arms, reverse=True)))
-        assert hook_decompose(p).cell_counts == oracles.hook_cell_counts_cellwalk(p.parts)
+        p = hooks_compose(sorted(arms, reverse=True))
+        assert tuple(2 * a - 1 for a in hook_decompose(p)) == oracles.hook_sizes_cellwalk(p.parts)
 
     def test_rejects_a_long_row_without_building_its_columns(self):
         # a self-conjugate shape has as many rows as its first row has cells,
@@ -143,27 +141,41 @@ class TestHookDecompose:
 
 class TestHooksCompose:
     def test_worked_examples(self):
-        assert hooks_compose(HookList.from_arms([5, 4, 3])) == Partition.of(5, 5, 5, 3, 3)
-        assert hooks_compose(HookList.from_arms([1])) == Partition.of(1)
-        assert hooks_compose(HookList.from_arms([4, 3])) == Partition.of(4, 4, 2, 2)
+        assert hooks_compose((5, 4, 3)) == Partition.of(5, 5, 5, 3, 3)
+        assert hooks_compose([1]) == Partition.of(1)
+        assert hooks_compose((4, 3)) == Partition.of(4, 4, 2, 2)
 
     def test_empty(self):
-        assert hooks_compose(HookList(())) == Partition()
+        assert hooks_compose(()) == Partition()
 
     @given(arm_sets)
     def test_roundtrip_and_conservation(self, arms):
-        hl = HookList.from_arms(sorted(arms, reverse=True))
-        p = hooks_compose(hl)
+        arms = tuple(sorted(arms, reverse=True))
+        p = hooks_compose(arms)
         assert is_self_conjugate(p)
-        assert hook_decompose(p) == hl
+        assert hook_decompose(p) == arms
         assert p.weight == sum(2 * a - 1 for a in arms)
 
     @given(arm_sets)
-    def test_cell_counts_odd_and_gapped(self, arms):
-        hl = HookList.from_arms(sorted(arms, reverse=True))
-        counts = hl.cell_counts
-        assert all(c % 2 == 1 for c in counts)
-        assert all(a - b >= 2 for a, b in zip(counts, counts[1:]))
+    def test_hook_sizes_odd_and_gapped(self, arms):
+        sizes = oracles.hook_sizes_cellwalk(hooks_compose(sorted(arms, reverse=True)).parts)
+        assert all(c % 2 == 1 for c in sizes)
+        assert all(a - b >= 2 for a, b in zip(sizes, sizes[1:]))
+
+    def test_a_shape_of_exactly_the_cap_is_composed(self):
+        # 2 * (250001 + 250000) - 2 cells
+        assert hooks_compose((250001, 250000)).weight == MAX_CELLS == 10**6
+
+    @pytest.mark.parametrize("arms", [((MAX_CELLS + 3) // 2,), (10**12,), (10**9, 10**9 - 1)])
+    def test_refuses_more_than_the_cap_without_building_rows(self, arms):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                hooks_compose(arms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestWeight:
@@ -179,7 +191,7 @@ def test_roundtrip_all_self_conjugate_up_to_weight_60():
             p = Partition(oracles.sc_from_distinct_odd_cells(parts))
             assert is_self_conjugate(p)
             assert hooks_compose(hook_decompose(p)) == p
-            assert hook_decompose(p).cell_counts == tuple(parts)
+            assert tuple(2 * a - 1 for a in hook_decompose(p)) == tuple(parts)
 
 
 def test_conjugate_and_self_conjugacy_match_cell_oracle_up_to_weight_20():
@@ -188,3 +200,10 @@ def test_conjugate_and_self_conjugacy_match_cell_oracle_up_to_weight_20():
             p = Partition(parts)
             assert conjugate(p).parts == oracles.transpose_cells(parts)
             assert is_self_conjugate(p) == oracles.is_sc(parts)
+
+
+def test_hook_layout_oracle_matches_cell_peeling_up_to_weight_40():
+    # the two oracles share no code: one lays out rows, the other peels cells
+    for w in range(41):
+        for parts in oracles.distinct_odd_partitions_of(w):
+            assert oracles.hook_sizes_cellwalk(oracles.sc_from_distinct_odd_cells(parts)) == parts
