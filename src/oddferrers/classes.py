@@ -73,21 +73,32 @@ def is_in_DO(p: Partition, n: int) -> bool:
 
 
 def _iter_O_arms(n: int) -> Iterator[tuple[int, ...]]:
-    """Arm sequences a_1 > ... > a_d >= 1 with (2a_1-1) + sum 2(2a_i-1) = 2n+1."""
+    """Arm sequences a_1 > ... > a_d >= 1 with (2a_1-1) + sum 2(2a_i-1) = 2n+1.
+
+    Each loop breaks once the weight left after arm a exceeds 2(a-1)^2 =
+    sum_{k<a} (4k-2), the most that interior arms below a can add; the
+    weight left only grows as a falls, so no later a can reach the target.
+    """
     target = 2 * n + 1
 
-    def inner(remaining: int, below: int, arms: list[int]) -> Iterator[tuple[int, ...]]:
+    def inner(remaining: int, below: int, arms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            yield tuple(arms)
+            yield arms
             return
         # interior hooks contribute 2(2a-1) = 4a-2
         amax = min(below - 1, (remaining + 2) // 4)
         for a in range(amax, 0, -1):
-            yield from inner(remaining - (4 * a - 2), a, arms + [a])
+            left = remaining - (4 * a - 2)
+            if left > 2 * (a - 1) ** 2:
+                break
+            yield from inner(left, a, arms + (a,))
 
     # outermost hook contributes 2a_1 - 1
     for a1 in range((target + 1) // 2, 0, -1):
-        yield from inner(target - (2 * a1 - 1), a1, [a1])
+        left = target - (2 * a1 - 1)
+        if left > 2 * (a1 - 1) ** 2:
+            break
+        yield from inner(left, a1, (a1,))
 
 
 def enumerate_O(n: int) -> list[OddFerrersGraph]:
@@ -106,12 +117,16 @@ def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
     number of i with p_i > j, so every row is fixed once the hooks that
     reach it are chosen:
 
-    1. Row p_i must be odd.
+    1. Row p_i = (c+1)/2 + i must be odd. This fixes the parity of the arm,
+       so c is 1 mod 4 at even i and 3 mod 4 at odd i, and the loop over c
+       steps by 4.
     2. When p_i < p_{i-1}, the rows in [p_i, p_{i-1}) equal i, so i must be
-       odd. Rows only fall as the hook size c falls, so for even i the loop
-       stops at the first c with p_i < p_{i-1}.
+       odd. Arms strictly fall, so p_i <= p_{i-1} with equality only for
+       c = below - 2; at an even i >= 2 the loop runs for that c alone.
     3. At a leaf with d hooks, when p_{d-1} > d the rows in [d, p_{d-1})
-       equal d, so d must be odd.
+       equal d, so d must be odd; when p_{d-1} = d, rule 1 makes d odd. So
+       at an odd i the walk goes on, to c - 2 by rule 2, and the weight left
+       after c is at least c - 2: c <= (remaining + 2) / 2.
     4. The loop over c stops once the weight left after c exceeds
        ((c-1)/2)^2, the largest sum of distinct odd hooks below c.
 
@@ -122,29 +137,24 @@ def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
     """
     target = 4 * n + 1
 
-    def inner(remaining: int, below: int, arms: list[int]) -> Iterator[tuple[int, ...]]:
-        i = len(arms)
-        last_row = arms[-1] + i - 1 if arms else 0  # p_{i-1}
+    def inner(remaining: int, below: int, arms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            if i % 2 == 0 and last_row > i:  # rule 3
-                return
             parts = hooks_compose(arms).parts
             if all(x % 2 == 1 for x in parts):
                 yield parts
             return
+        i = len(arms)
         cmax = min(below - 2, remaining)
-        if cmax % 2 == 0:
-            cmax -= 1
-        for c in range(cmax, 0, -2):
+        if i % 2 == 1:  # rule 3
+            cmax = min(cmax, (remaining + 2) // 2)
+        cmax -= (cmax - 1 - 2 * (i % 2)) % 4  # rule 1
+        stop = below - 3 if i and i % 2 == 0 else 0  # rule 2
+        for c in range(cmax, stop, -4):
             if remaining - c > ((c - 1) // 2) ** 2:  # rule 4
                 break
-            row = (c + 1) // 2 + i
-            if i % 2 == 0 and row < last_row:  # rule 2
-                break
-            if row % 2 == 1:  # rule 1
-                yield from inner(remaining - c, c, arms + [(c + 1) // 2])
+            yield from inner(remaining - c, c, arms + ((c + 1) // 2,))
 
-    yield from inner(target, target + 2, [])
+    yield from inner(target, target + 2, ())
 
 
 def enumerate_S(n: int) -> list[Partition]:
@@ -153,20 +163,27 @@ def enumerate_S(n: int) -> list[Partition]:
 
 def _iter_D_parts(n: int) -> Iterator[tuple[int, ...]]:
     """Choose distinct parts congruent to 2 mod 4; the leftover odd part must
-    exceed half the greatest even part."""
+    exceed half the greatest even part.
+
+    With w the weight left, each loop starts at the largest e that keeps
+    the odd part w - e above half the greatest even part: 3e < 2w for the
+    first (and greatest) even part, e < w - top/2 below a greatest part
+    top. The odd part only shrinks further down, so the branches skipped
+    hold no member, and every node the walk enters is a member.
+    """
     target = 2 * n + 1
 
-    def inner(remaining: int, below: int, evens: list[int]) -> Iterator[tuple[int, ...]]:
-        w = remaining
-        if w >= 1 and (not evens or 2 * w > evens[0]):
-            yield tuple(sorted(evens + [w], reverse=True))
-        emax = below - 4 if evens else remaining - 1
-        emax = min(emax, remaining - 1)
+    def inner(remaining: int, below: int, evens: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        yield tuple(sorted(evens + (remaining,), reverse=True))
+        if evens:
+            emax = min(below - 4, remaining - evens[0] // 2 - 1)
+        else:
+            emax = (2 * remaining - 1) // 3
         emax -= (emax - 2) % 4
         for e in range(emax, 1, -4):
-            yield from inner(remaining - e, e, evens + [e])
+            yield from inner(remaining - e, e, evens + (e,))
 
-    yield from inner(target, 0, [])
+    yield from inner(target, 0, ())
 
 
 def enumerate_D(n: int) -> list[Partition]:
@@ -175,21 +192,32 @@ def enumerate_D(n: int) -> list[Partition]:
 
 def _iter_DO_parts(n: int) -> Iterator[tuple[int, ...]]:
     """A head part of the form 4k+1 followed by pairs (x+2, x) with x of the
-    form 4k+1, strictly decreasing."""
+    form 4k+1, strictly decreasing.
+
+    Each loop breaks once the weight left after the head or a pair at x
+    exceeds (x-1)^2/4, with x the head or the pair's smaller part: the
+    pairs below x are at x' = 1, 5, ..., x-4, and with x = 4m+1 they add at
+    most sum_{j<m} (8j+4) = 4m^2.
+    """
     target = 4 * n + 1
 
-    def pairs(remaining: int, below: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+    def pairs(remaining: int, below: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            yield tuple(acc)
+            yield acc
             return
         # pair (x+2, x) contributes 2x+2; x = 4k+1, x+2 < below
         xmax = min(below - 3, (remaining - 2) // 2)
         xmax -= (xmax - 1) % 4
         for x in range(xmax, 0, -4):
-            yield from pairs(remaining - (2 * x + 2), x, acc + [x + 2, x])
+            left = remaining - (2 * x + 2)
+            if left > (x - 1) ** 2 // 4:
+                break
+            yield from pairs(left, x, acc + (x + 2, x))
 
     for head in range(target, 0, -4):
-        yield from pairs(target - head, head, [head])
+        if target - head > (head - 1) ** 2 // 4:
+            break
+        yield from pairs(target - head, head, (head,))
 
 
 def enumerate_DO(n: int) -> list[Partition]:

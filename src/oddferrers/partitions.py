@@ -96,12 +96,21 @@ def conjugate(p: Partition) -> Partition:
 
 
 def is_self_conjugate(p: Partition) -> bool:
+    """Row i equals column i for every i inside the Durfee square, the
+    Frobenius test: O(d) for a square of side d, no column is built."""
     parts = p.parts
-    if not parts:
-        return True
-    # the first row and the first column have equal length, a test that costs
-    # nothing and spares building the columns of a long thin shape
-    return parts[0] == len(parts) and tuple(_columns(parts)) == parts
+    k = len(parts)
+    # the first row and the first column have equal length, so no row is
+    # longer than the partition has rows and every index below is in range
+    if parts and parts[0] != k:
+        return False
+    for i, r in enumerate(parts):
+        if r <= i:
+            break
+        # column i has r cells: row r-1 reaches past i and row r does not
+        if parts[r - 1] <= i or (r < k and parts[r] > i):
+            return False
+    return True
 
 
 def hook_decompose(p: Partition) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from oddferrers.classes import (
 )
 from oddferrers.ferrers import OddFerrersGraph
 from oddferrers.partitions import Partition
+from oddferrers.qseries import nu_series
 
 import oracles
 
@@ -164,6 +166,25 @@ class TestCount:
 
     def test_s_agrees_with_o_to_60(self):
         assert [count(ClassId.S, n) for n in range(61)] == [count(ClassId.O, n) for n in range(61)]
+
+    @pytest.mark.parametrize("c", list(ClassId))
+    def test_each_class_matches_the_series_to_60(self, c):
+        # a weight bound in a walk that cuts one branch too many loses a
+        # member somewhere below n = 60
+        assert [count(c, n) for n in range(61)] == list(nu_series(60))
+
+    @pytest.mark.parametrize("c", [ClassId.O, ClassId.D, ClassId.DO])
+    def test_count_streams_its_walk(self, c):
+        # the walks hold one path of the search tree at a time, a few KiB;
+        # a walk that built its 13 396 members of n = 100 as a list would
+        # peak at 0.5-1.5 MiB
+        tracemalloc.start()
+        try:
+            assert count(c, 100) == 13396
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10
 
     @pytest.mark.parametrize("c", list(ClassId))
     def test_count_matches_enumeration_length(self, c):
