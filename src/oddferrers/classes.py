@@ -102,8 +102,8 @@ def _iter_O_arms(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_O(n: int) -> list[OddFerrersGraph]:
-    shapes = sorted((hooks_compose(arms).parts for arms in _iter_O_arms(n)), reverse=True)
-    return [OddFerrersGraph(Partition(s)) for s in shapes]
+    shapes = map(hooks_compose, _iter_O_arms(n))
+    return [OddFerrersGraph(s) for s in sorted(shapes, key=lambda p: p.parts, reverse=True)]
 
 
 def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:

@@ -25,19 +25,29 @@ _MAPS = {
     "distinct-odd-to-sc": (bijections.distinct_odd_to_sc, False),
 }
 
+# nu_series holds two lists of order + 1 ints and takes seconds at 10^5
+MAX_SERIES_ORDER = 10**5
 
-class _ParseFailure(Exception):
-    pass
+
+class _Refused(Exception):
+    """An argument that `main` turns into exit 2, like a `TooLarge` input."""
 
 
 def _parse_partition(text: str) -> Partition:
     try:
         p = Partition.from_text(text)
     except ValueError as exc:
-        raise _ParseFailure(f"cannot parse partition {text!r}: {exc}") from exc
+        raise _Refused(f"cannot parse partition {text!r}: {exc}") from exc
     if not p:
-        raise _ParseFailure(f"empty partition is not accepted here: {text!r}")
+        raise _Refused(f"empty partition is not accepted here: {text!r}")
     return p
+
+
+def _nu_series(order: int) -> tuple[int, ...]:
+    if order > MAX_SERIES_ORDER:
+        raise TooLarge(f"series order {order} is more than the {MAX_SERIES_ORDER} "
+                       "that the CLI expands")
+    return qseries.nu_series(order)
 
 
 @functools.cache  # a parser is a cycle of objects only the garbage collector frees
@@ -45,31 +55,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oddferrers")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    class_names = [c.value for c in ClassId]
+
     p_count = sub.add_parser("count", help="count class members")
+    p_count.set_defaults(run=_cmd_count)
     p_count.add_argument("--class", dest="cls", required=True,
-                         choices=["O", "S", "D", "DO", "pnu"])
+                         choices=[*class_names, "pnu"])
     group = p_count.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int)
     group.add_argument("--max-n", type=int)
 
     p_enum = sub.add_parser("enumerate", help="list class members")
-    p_enum.add_argument("--class", dest="cls", required=True,
-                        choices=["O", "S", "D", "DO"])
+    p_enum.set_defaults(run=_cmd_enumerate)
+    p_enum.add_argument("--class", dest="cls", required=True, choices=class_names)
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--format", choices=["text", "json"], default="text")
 
     p_map = sub.add_parser("map", help="apply one of the bijections")
+    p_map.set_defaults(run=_cmd_map)
     p_map.add_argument("name", choices=list(_MAPS))
     p_map.add_argument("--input", required=True)
     p_map.add_argument("--check", action="store_true",
-                       help="verify output class membership where applicable")
+                       help="phi only: check that the output is in S")
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--max-n", type=int, default=None)
-    p_verify.add_argument("--checks", choices=["all", "counts", "roundtrips", "series"],
-                          default="all")
+    p_verify.add_argument("--checks", choices=["all", *_CHECKS], default="all")
 
     p_render = sub.add_parser("render", help="render an odd Ferrers graph")
+    p_render.set_defaults(run=_cmd_render)
     p_render.add_argument("--shape", required=True)
     p_render.add_argument("--format", choices=["ascii", "json"], default="ascii")
 
@@ -79,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_count(args) -> int:
     ns = range(args.max_n + 1) if args.n is None else [args.n]
     if args.cls == "pnu":
-        series = qseries.nu_series(max(ns))
+        series = _nu_series(ns[-1])
         for n in ns:
             print(f"{n}\t{series[n]}")
     else:
@@ -100,22 +115,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    try:
-        p = _parse_partition(args.input)
-    except _ParseFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    p = _parse_partition(args.input)
     fn, takes_graph = _MAPS[args.name]
     arg = OddFerrersGraph(p) if takes_graph else p
-    try:
-        out = fn(arg, check=args.check) if args.name == "phi" else fn(arg)
-    except TooLarge as exc:
-        # exit 1 is kept for inputs that are not class members
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OddFerrersError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    out = fn(arg, check=args.check) if args.name == "phi" else fn(arg)
     print(out.to_text())
     return 0
 
@@ -172,35 +175,31 @@ def _report(name: str, max_n: int, check, failures: int) -> int:
     return failures
 
 
+# verify check -> (default max-n, builds the per-n check up to a max-n), in run order
+_CHECKS = {
+    "counts": (40, lambda max_n: functools.partial(_verify_counts, series=_nu_series(max_n))),
+    "roundtrips": (25, lambda max_n: _verify_roundtrips),
+    # the wider order first, so that a bound over the cap is refused before any expansion
+    "series": (40, lambda max_n: functools.partial(
+        _verify_series, wider=_nu_series(max_n + 50), base=_nu_series(max_n))),
+}
+
+
 def _cmd_verify(args) -> int:
-    checks = args.checks
     failures = 0
-    if checks in ("all", "counts"):
-        max_n = args.max_n if args.max_n is not None else 40
-        series = qseries.nu_series(max_n)
-        failures = _report("counts", max_n, lambda n: _verify_counts(n, series), failures)
-    if checks in ("all", "roundtrips"):
-        max_n = args.max_n if args.max_n is not None else 25
-        failures = _report("roundtrips", max_n, _verify_roundtrips, failures)
-    if checks in ("all", "series"):
-        max_n = args.max_n if args.max_n is not None else 40
-        base = qseries.nu_series(max_n)
-        wider = qseries.nu_series(max_n + 50)
-        failures = _report("series", max_n, lambda n: _verify_series(n, base, wider), failures)
+    for name, (default_max_n, build) in _CHECKS.items():
+        if args.checks in ("all", name):
+            max_n = default_max_n if args.max_n is None else args.max_n
+            failures = _report(name, max_n, build(max_n), failures)
     return 0 if failures == 0 else 1
 
 
 def _cmd_render(args) -> int:
-    try:
-        shape = _parse_partition(args.shape)
-    except _ParseFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    shape = _parse_partition(args.shape)
     # the ascii diagram is one character per cell
     if shape.weight > MAX_CELLS:
-        print(f"error: shape has {shape.weight} cells, more than the {MAX_CELLS} "
-              "that render accepts", file=sys.stderr)
-        return 2
+        raise _Refused(f"shape has {shape.weight} cells, more than the {MAX_CELLS} "
+                       "that render accepts")
     g = OddFerrersGraph(shape)
     if args.format == "json":
         print(json.dumps(ferrers.to_json_dict(g)))
@@ -211,19 +210,19 @@ def _cmd_render(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("n", "max_n"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            print(f"error: {flag.replace('_', '-')} must be nonnegative", file=sys.stderr)
-            return 2
-    handlers = {
-        "count": _cmd_count,
-        "enumerate": _cmd_enumerate,
-        "map": _cmd_map,
-        "verify": _cmd_verify,
-        "render": _cmd_render,
-    }
-    return handlers[args.command](args)
+    try:
+        for flag in ("n", "max_n"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise _Refused(f"{flag.replace('_', '-')} must be nonnegative")
+        return args.run(args)
+    except (_Refused, TooLarge) as exc:
+        # exit 1 is kept for inputs that are not class members
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OddFerrersError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

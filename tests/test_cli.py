@@ -1,11 +1,16 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+import oddferrers.bijections
+import oddferrers.cli
+import oddferrers.qseries
 from oddferrers.classes import ClassId, count
 from oddferrers.cli import main
+from oddferrers.errors import MalformedSClass
 from oddferrers.qseries import nu_series
 
 
@@ -231,6 +236,42 @@ def test_negative_bound_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "must be nonnegative" in err
+
+
+def test_library_error_exits_1_with_its_class_name(capsys, monkeypatch):
+    def refuse(g, check=False):
+        raise MalformedSClass("refused")
+
+    monkeypatch.setattr(oddferrers.bijections, "phi", refuse)
+    code, _, err = run(capsys, "verify", "--checks", "roundtrips", "--max-n", "2")
+    assert code == 1
+    assert err == "MalformedSClass: refused\n"
+
+
+@pytest.mark.parametrize("order", ["cap+1", "1e9"])
+@pytest.mark.parametrize("argv", [
+    ["count", "--class", "pnu", "--max-n"],
+    ["count", "--class", "pnu", "--n"],
+    ["verify", "--checks", "series", "--max-n"],
+], ids=["count-max-n", "count-n", "verify-series"])
+def test_series_order_over_cap_exits_2_at_once(capsys, monkeypatch, argv, order):
+    def expand(order):
+        raise AssertionError(f"nu_series({order}) was called")
+
+    # expanding the series to 10^9 would take two lists of 8 GB or more, so
+    # a refusal that came after it must fail here, not run
+    monkeypatch.setattr(oddferrers.qseries, "nu_series", expand)
+    cap = oddferrers.cli.MAX_SERIES_ORDER
+    value = cap + 1 if order == "cap+1" else 10**9
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, str(value))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(cap) in err
+    assert peak < 2**20
 
 
 def test_console_entry_point():
