@@ -8,13 +8,13 @@ Usage: python scripts/show_bijection.py [N]
 import sys
 
 from oddferrers.bijections import o_to_d, phi, sc_to_distinct_odd
-from oddferrers.classes import enumerate_O
+from oddferrers.classes import ClassId, members
 from oddferrers.ferrers import graph_weight, render_ascii
 
 
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
-    for g in enumerate_O(n):
+    for g in members(ClassId.O, n):
         image = phi(g, check=True)
         print(f"shape {g.to_text()}  (weight {graph_weight(g)})")
         print(render_ascii(g))

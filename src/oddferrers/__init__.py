@@ -14,10 +14,7 @@ from .classes import (
     is_in_S,
     is_in_D,
     is_in_DO,
-    enumerate_O,
-    enumerate_S,
-    enumerate_D,
-    enumerate_DO,
+    members,
     count,
 )
 from .bijections import (
@@ -37,7 +34,7 @@ __all__ = [
     "hook_decompose", "hooks_compose",
     "OddFerrersGraph", "graph_weight", "row_sums", "render_ascii",
     "ClassId", "is_in_O", "is_in_S", "is_in_D", "is_in_DO",
-    "enumerate_O", "enumerate_S", "enumerate_D", "enumerate_DO", "count",
+    "members", "count",
     "phi", "phi_inverse", "sc_to_distinct_odd", "distinct_odd_to_sc",
     "o_to_d", "d_to_o", "d_to_do", "do_to_d",
     "nu_series",

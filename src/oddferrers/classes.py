@@ -101,11 +101,6 @@ def _iter_O_arms(n: int) -> Iterator[tuple[int, ...]]:
         yield from inner(left, a1, (a1,))
 
 
-def enumerate_O(n: int) -> list[OddFerrersGraph]:
-    shapes = map(hooks_compose, _iter_O_arms(n))
-    return [OddFerrersGraph(s) for s in sorted(shapes, key=lambda p: p.parts, reverse=True)]
-
-
 def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
     """Compose strictly decreasing odd hook cell counts summing to 4n+1 whose
     partition has all parts odd, cutting a branch as soon as its hooks force
@@ -157,10 +152,6 @@ def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
     yield from inner(target, target + 2, ())
 
 
-def enumerate_S(n: int) -> list[Partition]:
-    return [Partition(t) for t in sorted(_iter_S_parts(n), reverse=True)]
-
-
 def _iter_D_parts(n: int) -> Iterator[tuple[int, ...]]:
     """Choose distinct parts congruent to 2 mod 4; the leftover odd part must
     exceed half the greatest even part.
@@ -184,10 +175,6 @@ def _iter_D_parts(n: int) -> Iterator[tuple[int, ...]]:
             yield from inner(remaining - e, e, evens + (e,))
 
     yield from inner(target, 0, ())
-
-
-def enumerate_D(n: int) -> list[Partition]:
-    return [Partition(t) for t in sorted(_iter_D_parts(n), reverse=True)]
 
 
 def _iter_DO_parts(n: int) -> Iterator[tuple[int, ...]]:
@@ -220,30 +207,30 @@ def _iter_DO_parts(n: int) -> Iterator[tuple[int, ...]]:
         yield from pairs(target - head, head, (head,))
 
 
-def enumerate_DO(n: int) -> list[Partition]:
-    return [Partition(t) for t in sorted(_iter_DO_parts(n), reverse=True)]
+# class -> (its walk, the member that one item of the walk encodes). O's
+# walk yields arm tuples, which sort as the shapes they compose do: row i
+# of the Durfee square is a_i + i, and two arm tuples of one weight are
+# never prefixes of one another, so the first arm that differs decides the
+# first row that differs. So O composes each member once, after the sort.
+_CLASSES = {
+    ClassId.O: (_iter_O_arms, lambda arms: OddFerrersGraph(hooks_compose(arms))),
+    ClassId.S: (_iter_S_parts, Partition),
+    ClassId.D: (_iter_D_parts, Partition),
+    ClassId.DO: (_iter_DO_parts, Partition),
+}
+
+
+def members(c: ClassId, n: int) -> list:
+    """The members of class c at index n, in descending order of their parts."""
+    walk, member = _CLASSES[c]
+    return [member(x) for x in sorted(walk(n), reverse=True)]
 
 
 def count(c: ClassId, n: int) -> int:
     """Class cardinality at index n, without materializing the sorted list."""
-    iters = {
-        ClassId.O: _iter_O_arms,
-        ClassId.S: _iter_S_parts,
-        ClassId.D: _iter_D_parts,
-        ClassId.DO: _iter_DO_parts,
-    }
-    return sum(1 for _ in iters[c](n))
-
-
-ENUMERATORS = {
-    ClassId.O: enumerate_O,
-    ClassId.S: enumerate_S,
-    ClassId.D: enumerate_D,
-    ClassId.DO: enumerate_DO,
-}
+    return sum(1 for _ in _CLASSES[c][0](n))
 
 
 def to_json_dict(c: ClassId, n: int) -> dict:
-    members = ENUMERATORS[c](n)
-    shapes = [g.shape for g in members] if c is ClassId.O else members
-    return {"class": c.value, "n": n, "count": len(members), "members": [list(p) for p in shapes]}
+    rows = [(m.shape if c is ClassId.O else m).parts for m in members(c, n)]
+    return {"class": c.value, "n": n, "count": len(rows), "members": [list(r) for r in rows]}

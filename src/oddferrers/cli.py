@@ -27,6 +27,9 @@ _MAPS = {
 
 # nu_series holds two lists of order + 1 ints and takes seconds at 10^5
 MAX_SERIES_ORDER = 10**5
+# the classes grow about tenfold per 50 in n: a walk to 150 takes seconds,
+# and O has about 9*10^7 members at n = 300
+MAX_CLASS_N = 150
 
 
 class _Refused(Exception):
@@ -38,7 +41,7 @@ def _parse_partition(text: str) -> Partition:
         p = Partition.from_text(text)
     except ValueError as exc:
         raise _Refused(f"cannot parse partition {text!r}: {exc}") from exc
-    if not p:
+    if not p.parts:
         raise _Refused(f"empty partition is not accepted here: {text!r}")
     return p
 
@@ -48,6 +51,12 @@ def _nu_series(order: int) -> tuple[int, ...]:
         raise TooLarge(f"series order {order} is more than the {MAX_SERIES_ORDER} "
                        "that the CLI expands")
     return qseries.nu_series(order)
+
+
+def _class_id(name: str, top_n: int) -> ClassId:
+    if top_n > MAX_CLASS_N:
+        raise TooLarge(f"class index {top_n} is more than the {MAX_CLASS_N} that the CLI walks")
+    return ClassId(name)
 
 
 @functools.cache  # a parser is a cycle of objects only the garbage collector frees
@@ -98,18 +107,18 @@ def _cmd_count(args) -> int:
         for n in ns:
             print(f"{n}\t{series[n]}")
     else:
-        cid = ClassId(args.cls)
+        cid = _class_id(args.cls, ns[-1])
         for n in ns:
             print(f"{n}\t{classes.count(cid, n)}")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    cid = ClassId(args.cls)
+    cid = _class_id(args.cls, args.n)
     if args.format == "json":
         print(json.dumps(classes.to_json_dict(cid, args.n)))
         return 0
-    for member in classes.ENUMERATORS[cid](args.n):
+    for member in classes.members(cid, args.n):
         print(member.to_text())
     return 0
 
@@ -132,13 +141,11 @@ def _verify_counts(n: int, series) -> tuple[bool, str]:
 
 
 def _verify_roundtrips(n: int) -> tuple[bool, str]:
-    o_members = classes.enumerate_O(n)
-    d_members = classes.enumerate_D(n)
+    o, s, d, do = (classes.members(c, n) for c in ClassId)
     maps = [
-        ("phi", o_members, lambda g: bijections.phi(g, check=True), bijections.phi_inverse,
-         classes.enumerate_S(n)),
-        ("o_to_d", o_members, bijections.o_to_d, bijections.d_to_o, d_members),
-        ("d_to_do", d_members, bijections.d_to_do, bijections.do_to_d, classes.enumerate_DO(n)),
+        ("phi", o, lambda g: bijections.phi(g, check=True), bijections.phi_inverse, s),
+        ("o_to_d", o, bijections.o_to_d, bijections.d_to_o, d),
+        ("d_to_do", d, bijections.d_to_do, bijections.do_to_d, do),
     ]
     for name, sources, forward, inverse, targets in maps:
         images = [forward(x) for x in sources]

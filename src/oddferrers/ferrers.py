@@ -18,7 +18,7 @@ class OddFerrersGraph:
     shape: Partition
 
     def __post_init__(self):
-        if not self.shape:
+        if not self.shape.parts:
             raise ValueError("odd Ferrers graph shape must be nonempty")
 
     def to_text(self) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvalidHookList, NotSelfConjugate, TooLarge
 
@@ -58,18 +58,6 @@ class Partition:
     @property
     def weight(self) -> int:
         return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
 
 
 def _columns(rows: Sequence[int], start: int = 0) -> list[int]:

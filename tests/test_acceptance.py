@@ -15,10 +15,7 @@ from oddferrers.bijections import (
 from oddferrers.classes import (
     ClassId,
     count,
-    enumerate_D,
-    enumerate_DO,
-    enumerate_O,
-    enumerate_S,
+    members,
 )
 from oddferrers.cli import main
 from oddferrers.ferrers import graph_weight
@@ -62,10 +59,10 @@ def test_criterion_2_counts_agree_to_40():
 
 def test_criterion_3_exhaustive_bijectivity_to_25():
     for n in range(26):
-        o_members = enumerate_O(n)
-        s_members = enumerate_S(n)
-        d_members = enumerate_D(n)
-        do_members = enumerate_DO(n)
+        o_members = members(ClassId.O, n)
+        s_members = members(ClassId.S, n)
+        d_members = members(ClassId.D, n)
+        do_members = members(ClassId.DO, n)
 
         image = [phi(g) for g in o_members]
         assert len({p.parts for p in image}) == len(o_members), f"n={n}: phi not injective"
@@ -92,7 +89,7 @@ def test_criterion_3_exhaustive_bijectivity_to_25():
 
 def test_criterion_4_structural_postconditions_to_25():
     for n in range(26):
-        for g in enumerate_O(n):
+        for g in members(ClassId.O, n):
             image = phi(g)
             assert image.weight == 2 * graph_weight(g) - 1, f"n={n}: weight law"
             assert all(x % 2 == 1 for x in image.parts), f"n={n}: parts not all odd"

@@ -11,14 +11,12 @@ from oddferrers.bijections import (
     sc_to_distinct_odd,
 )
 from oddferrers.classes import (
-    enumerate_D,
-    enumerate_DO,
-    enumerate_O,
-    enumerate_S,
+    ClassId,
     is_in_D,
     is_in_DO,
     is_in_O,
     is_in_S,
+    members,
 )
 from oddferrers.errors import (
     MalformedDClass,
@@ -62,17 +60,17 @@ class TestPhi:
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_well_defined(self, n):
-        for g in enumerate_O(n):
+        for g in members(ClassId.O, n):
             assert is_in_S(phi(g), n)
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_weight_law(self, n):
-        for g in enumerate_O(n):
+        for g in members(ClassId.O, n):
             assert phi(g).weight == 2 * graph_weight(g) - 1
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_output_hook_pairing(self, n):
-        for g in enumerate_O(n):
+        for g in members(ClassId.O, n):
             counts = sc_to_distinct_odd(phi(g)).parts
             assert len(counts) % 2 == 1
             assert counts[0] % 4 == 1
@@ -107,15 +105,15 @@ class TestPhiInverse:
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_roundtrips(self, n):
-        for g in enumerate_O(n):
+        for g in members(ClassId.O, n):
             assert phi_inverse(phi(g)).shape == g.shape
-        for p in enumerate_S(n):
+        for p in members(ClassId.S, n):
             assert phi(phi_inverse(p)) == p
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_image_coverage(self, n):
-        image = sorted(phi(g).parts for g in enumerate_O(n))
-        assert image == sorted(p.parts for p in enumerate_S(n))
+        image = sorted(phi(g).parts for g in members(ClassId.O, n))
+        assert image == sorted(p.parts for p in members(ClassId.S, n))
 
 
 class TestHookSumBijection:
@@ -139,7 +137,7 @@ class TestHookSumBijection:
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_roundtrip_on_s(self, n):
-        for p in enumerate_S(n):
+        for p in members(ClassId.S, n):
             img = sc_to_distinct_odd(p)
             assert all(x % 2 == 1 for x in img.parts)
             assert len(set(img.parts)) == len(img.parts)
@@ -168,12 +166,12 @@ class TestODBijection:
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_bijectivity(self, n):
-        image = sorted(o_to_d(g).parts for g in enumerate_O(n))
-        assert image == sorted(p.parts for p in enumerate_D(n))
-        for g in enumerate_O(n):
+        image = sorted(o_to_d(g).parts for g in members(ClassId.O, n))
+        assert image == sorted(p.parts for p in members(ClassId.D, n))
+        for g in members(ClassId.O, n):
             assert is_in_D(o_to_d(g), n)
             assert d_to_o(o_to_d(g)).shape == g.shape
-        for p in enumerate_D(n):
+        for p in members(ClassId.D, n):
             assert o_to_d(d_to_o(p)) == p
 
 
@@ -202,18 +200,18 @@ class TestDDOBijection:
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_bijectivity(self, n):
-        image = sorted(d_to_do(p).parts for p in enumerate_D(n))
-        assert image == sorted(p.parts for p in enumerate_DO(n))
-        for p in enumerate_D(n):
+        image = sorted(d_to_do(p).parts for p in members(ClassId.D, n))
+        assert image == sorted(p.parts for p in members(ClassId.DO, n))
+        for p in members(ClassId.D, n):
             assert is_in_DO(d_to_do(p), n)
             assert do_to_d(d_to_do(p)) == p
-        for p in enumerate_DO(n):
+        for p in members(ClassId.DO, n):
             assert d_to_do(do_to_d(p)) == p
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_commuting_square(self, n):
         # the direct +-1 formula must agree with the compositional route
-        for g in enumerate_O(n):
+        for g in members(ClassId.O, n):
             assert sc_to_distinct_odd(phi(g)) == d_to_do(o_to_d(g))
 
 
@@ -259,7 +257,7 @@ def test_maps_are_total():
         for parts in oracles.all_partitions_of(w):
             p = Partition(parts)
             for fn, (inverse, takes_graph, in_target) in TOTAL_MAPS.items():
-                if takes_graph and not p:
+                if takes_graph and not p.parts:
                     continue
                 x = OddFerrersGraph(p) if takes_graph else p
                 try:

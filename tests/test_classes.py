@@ -8,14 +8,11 @@ import oddferrers
 from oddferrers.classes import (
     ClassId,
     count,
-    enumerate_D,
-    enumerate_DO,
-    enumerate_O,
-    enumerate_S,
     is_in_D,
     is_in_DO,
     is_in_O,
     is_in_S,
+    members,
     to_json_dict,
 )
 from oddferrers.ferrers import OddFerrersGraph
@@ -86,65 +83,74 @@ class TestPredicates:
 
 class TestEnumerators:
     def test_o_base_and_example(self):
-        assert [g.shape.parts for g in enumerate_O(0)] == [(1,)]
-        assert (3, 3, 2) in [g.shape.parts for g in enumerate_O(5)]
+        assert [g.shape.parts for g in members(ClassId.O, 0)] == [(1,)]
+        assert (3, 3, 2) in [g.shape.parts for g in members(ClassId.O, 5)]
 
     def test_o5_full_list(self):
-        assert [g.shape.parts for g in enumerate_O(5)] == [
+        assert [g.shape.parts for g in members(ClassId.O, 5)] == [
             (6, 1, 1, 1, 1, 1),
             (5, 2, 1, 1, 1),
             (3, 3, 2),
         ]
 
     def test_s_examples(self):
-        assert [p.parts for p in enumerate_S(0)] == [(1,)]
-        assert [p.parts for p in enumerate_S(1)] == [(3, 1, 1)]
-        assert (5, 5, 5, 3, 3) in [p.parts for p in enumerate_S(5)]
+        assert [p.parts for p in members(ClassId.S, 0)] == [(1,)]
+        assert [p.parts for p in members(ClassId.S, 1)] == [(3, 1, 1)]
+        assert (5, 5, 5, 3, 3) in [p.parts for p in members(ClassId.S, 5)]
 
     def test_d_examples(self):
-        assert [p.parts for p in enumerate_D(0)] == [(1,)]
-        assert [p.parts for p in enumerate_D(1)] == [(3,)]
-        assert [p.parts for p in enumerate_D(5)] == [(11,), (9, 2), (6, 5)]
+        assert [p.parts for p in members(ClassId.D, 0)] == [(1,)]
+        assert [p.parts for p in members(ClassId.D, 1)] == [(3,)]
+        assert [p.parts for p in members(ClassId.D, 5)] == [(11,), (9, 2), (6, 5)]
 
     def test_do_examples(self):
-        assert [p.parts for p in enumerate_DO(0)] == [(1,)]
-        assert [p.parts for p in enumerate_DO(1)] == [(5,)]
-        assert [p.parts for p in enumerate_DO(5)] == [(21,), (17, 3, 1), (9, 7, 5)]
+        assert [p.parts for p in members(ClassId.DO, 0)] == [(1,)]
+        assert [p.parts for p in members(ClassId.DO, 1)] == [(5,)]
+        assert [p.parts for p in members(ClassId.DO, 5)] == [(21,), (17, 3, 1), (9, 7, 5)]
 
     @pytest.mark.parametrize("n", range(ORACLE_N + 1))
     def test_match_naive_enumerations(self, n):
-        assert [g.shape.parts for g in enumerate_O(n)] == oracles.naive_O(n)
-        assert [p.parts for p in enumerate_S(n)] == oracles.naive_S(n)
-        assert [p.parts for p in enumerate_D(n)] == oracles.naive_D(n)
-        assert [p.parts for p in enumerate_DO(n)] == oracles.naive_DO(n)
+        assert [g.shape.parts for g in members(ClassId.O, n)] == oracles.naive_O(n)
+        assert [p.parts for p in members(ClassId.S, n)] == oracles.naive_S(n)
+        assert [p.parts for p in members(ClassId.D, n)] == oracles.naive_D(n)
+        assert [p.parts for p in members(ClassId.DO, n)] == oracles.naive_DO(n)
 
     @pytest.mark.parametrize("n", range(CELL_ORACLE_N + 1))
     def test_s_matches_cell_set_oracle(self, n):
         shapes = (oracles.sc_from_distinct_odd_cells(h)
                   for h in oracles.distinct_odd_partitions_of(4 * n + 1))
         expected = sorted((p for p in shapes if all(x % 2 == 1 for x in p)), reverse=True)
-        assert [p.parts for p in enumerate_S(n)] == expected
+        assert [p.parts for p in members(ClassId.S, n)] == expected
 
     @pytest.mark.parametrize("n", range(15))
     def test_no_duplicates_and_membership(self, n):
-        o = [g.shape.parts for g in enumerate_O(n)]
+        o = [g.shape.parts for g in members(ClassId.O, n)]
         assert len(set(o)) == len(o)
-        assert all(is_in_O(g, n) for g in enumerate_O(n))
-        for enum, pred in [
-            (enumerate_S, is_in_S),
-            (enumerate_D, is_in_D),
-            (enumerate_DO, is_in_DO),
+        assert all(is_in_O(g, n) for g in members(ClassId.O, n))
+        for c, pred in [
+            (ClassId.S, is_in_S),
+            (ClassId.D, is_in_D),
+            (ClassId.DO, is_in_DO),
         ]:
-            members = enum(n)
-            parts = [p.parts for p in members]
+            found = members(c, n)
+            parts = [p.parts for p in found]
             assert len(set(parts)) == len(parts)
             assert parts == sorted(parts, reverse=True)
-            assert all(pred(p, n) for p in members)
+            assert all(pred(p, n) for p in found)
+
+    @pytest.mark.parametrize("c", list(ClassId))
+    def test_members_descend_and_match_count_to_60(self, c):
+        # O's walk is sorted as arm tuples, not as shapes, so this checks that
+        # the two orders agree on every member up to n = 60
+        for n in range(61):
+            parts = [(m.shape if c is ClassId.O else m).parts for m in members(c, n)]
+            assert all(a > b for a, b in zip(parts, parts[1:])), n
+            assert len(parts) == count(c, n), n
 
     @pytest.mark.parametrize("n", range(15))
     def test_deterministic(self, n):
-        assert enumerate_S(n) == enumerate_S(n)
-        assert enumerate_DO(n) == enumerate_DO(n)
+        assert members(ClassId.S, n) == members(ClassId.S, n)
+        assert members(ClassId.DO, n) == members(ClassId.DO, n)
 
 
 class TestCount:
@@ -188,14 +194,8 @@ class TestCount:
 
     @pytest.mark.parametrize("c", list(ClassId))
     def test_count_matches_enumeration_length(self, c):
-        enum = {
-            ClassId.O: enumerate_O,
-            ClassId.S: enumerate_S,
-            ClassId.D: enumerate_D,
-            ClassId.DO: enumerate_DO,
-        }[c]
         for n in range(12):
-            assert count(c, n) == len(enum(n))
+            assert count(c, n) == len(members(c, n))
 
 
 def test_json_form():

@@ -6,11 +6,13 @@ import tracemalloc
 import pytest
 
 import oddferrers.bijections
+import oddferrers.classes
 import oddferrers.cli
 import oddferrers.qseries
 from oddferrers.classes import ClassId, count
 from oddferrers.cli import main
 from oddferrers.errors import MalformedSClass
+from oddferrers.partitions import Partition
 from oddferrers.qseries import nu_series
 
 
@@ -151,15 +153,19 @@ class TestMap:
         code, _, err = run(capsys, "map", "phi", "--input", "1,3")
         assert code == 2 and "parse" in err
 
+    def test_empty_input_exits_2(self, capsys):
+        code, out, err = run(capsys, "map", "phi", "--input", " ")
+        assert (code, out) == (2, "") and err.startswith("error: empty partition")
+
     @pytest.mark.parametrize("text", ["3_0", "\u0663", "2,+1"])
     def test_non_digit_tokens_exit_2(self, capsys, text):
         code, out, err = run(capsys, "map", "phi", "--input", text)
         assert code == 2 and out == "" and "parse" in err
 
     def test_roundtrip_identical_text(self, capsys):
-        from oddferrers.classes import enumerate_S
+        from oddferrers.classes import members
 
-        for p in enumerate_S(6):
+        for p in members(ClassId.S, 6):
             _, shape_text, _ = run(capsys, "map", "phi-inverse", "--input", p.to_text())
             _, back, _ = run(capsys, "map", "phi", "--input", shape_text.strip())
             assert back.strip() == p.to_text()
@@ -272,6 +278,84 @@ def test_series_order_over_cap_exits_2_at_once(capsys, monkeypatch, argv, order)
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(cap) in err
     assert peak < 2**20
+
+
+_CLASS_WALKS = [
+    ["count", "--class", "S", "--n"],
+    ["count", "--class", "O", "--max-n"],
+    ["enumerate", "--class", "DO", "--n"],
+]
+
+
+def _walk_refused(n):
+    raise AssertionError(f"a class was walked to {n}")
+
+
+@pytest.mark.parametrize("value", ["cap+1", "1e9"])
+@pytest.mark.parametrize("argv", _CLASS_WALKS, ids=["count-n", "count-max-n", "enumerate"])
+def test_class_index_over_cap_exits_2_at_once(capsys, monkeypatch, argv, value):
+    # the classes grow about tenfold per 50 in n, so a refusal that came
+    # after the walk must fail here, not run
+    monkeypatch.setattr(oddferrers.classes, "_CLASSES", {c: (_walk_refused, None) for c in ClassId})
+    cap = oddferrers.cli.MAX_CLASS_N
+    n = cap + 1 if value == "cap+1" else 10**9
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, str(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(cap) in err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("argv", _CLASS_WALKS, ids=["count-n", "count-max-n", "enumerate"])
+def test_class_index_at_cap_is_walked(capsys, monkeypatch, argv):
+    walked = []
+
+    def walk(n):
+        walked.append(n)
+        return iter(())
+
+    monkeypatch.setattr(oddferrers.classes, "_CLASSES", {c: (walk, None) for c in ClassId})
+    cap = oddferrers.cli.MAX_CLASS_N
+    code, _, err = run(capsys, *argv, str(cap))
+    assert (code, err) == (0, "")
+    assert walked[-1] == cap
+
+
+def test_verify_counts_failure_names_the_first_counterexample(capsys, monkeypatch):
+    real = oddferrers.classes.count
+
+    def count_off_by_one(c, n):
+        # wrong from n = 3 on, and only the first failure is named
+        return real(c, n) + (c is ClassId.D and n >= 3)
+
+    monkeypatch.setattr(oddferrers.classes, "count", count_off_by_one)
+    code, out, _ = run(capsys, "verify", "--checks", "counts", "--max-n", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:4] == ["# counts 0..5", "0\tPASS", "1\tPASS", "2\tPASS"]
+    assert lines[4] == "3\tFAIL\tO=2 S=2 D=3 DO=2 pnu=2"
+    assert lines[5] == "first counterexample: n=3 O=2 S=2 D=3 DO=2 pnu=2"
+    assert [line.split("\t")[:2] for line in lines[6:]] == [["4", "FAIL"], ["5", "FAIL"]]
+    assert out.count("first counterexample:") == 1
+
+
+@pytest.mark.parametrize("name, detail", [
+    ("d_to_do", "d_to_do image differs from its target class"),
+    ("do_to_d", "inverse of d_to_do does not give back 3"),
+])
+def test_verify_roundtrips_failure_exits_1(capsys, monkeypatch, name, detail):
+    # (1,) is a member of D and of DO at n = 0 only
+    monkeypatch.setattr(oddferrers.bijections, name, lambda p: Partition((1,)))
+    code, out, _ = run(capsys, "verify", "--checks", "roundtrips", "--max-n", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["# roundtrips 0..1", "0\tPASS"]
+    assert lines[2].startswith(f"1\tFAIL\t{detail}")
+    assert lines[3].startswith(f"first counterexample: n=1 {detail}")
 
 
 def test_console_entry_point():
