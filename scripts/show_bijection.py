@@ -15,7 +15,7 @@ from oddferrers.ferrers import graph_weight, render_ascii
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     for g in members(ClassId.O, n):
-        image = phi(g, check=True)
+        image = phi(g)
         print(f"shape {g.to_text()}  (weight {graph_weight(g)})")
         print(render_ascii(g))
         print(f"  image under phi    : {image.to_text()}")

@@ -22,8 +22,7 @@ from .errors import (
     MalformedSClass,
     NotDistinctOdd,
 )
-from .ferrers import OddFerrersGraph, graph_weight
-from .classes import is_in_S
+from .ferrers import OddFerrersGraph
 from .partitions import Partition, hook_decompose, hooks_compose
 
 
@@ -88,22 +87,14 @@ def _encode_DO(arms: tuple[int, ...]) -> Partition:
     return Partition((4 * arms[0] - 3,) + pairs)
 
 
-def phi(g: OddFerrersGraph, check: bool = False) -> Partition:
+def phi(g: OddFerrersGraph) -> Partition:
     """Map a self-conjugate odd Ferrers graph of weight 2n+1 to a
     self-conjugate partition of 4n+1 into odd parts.
 
     The outermost weighted hook sum s1 becomes a hook of 2*s1 - 1 cells; every
     interior hook sum s becomes a pair of hooks with s+1 and s-1 cells.
-
-    With check=True the class membership of the output is verified (this is
-    the content of the equinumerosity theorem, not redundant plumbing).
     """
-    result = _encode_S(_decode_O(g))
-    if check:
-        n = (graph_weight(g) - 1) // 2
-        if not is_in_S(result, n):
-            raise MalformedSClass(f"phi output {result.parts} is not in S at n={n}")
-    return result
+    return _encode_S(_decode_O(g))
 
 
 def phi_inverse(p: Partition) -> OddFerrersGraph:

@@ -229,8 +229,3 @@ def members(c: ClassId, n: int) -> list:
 def count(c: ClassId, n: int) -> int:
     """Class cardinality at index n, without materializing the sorted list."""
     return sum(1 for _ in _CLASSES[c][0](n))
-
-
-def to_json_dict(c: ClassId, n: int) -> dict:
-    rows = [(m.shape if c is ClassId.O else m).parts for m in members(c, n)]
-    return {"class": c.value, "n": n, "count": len(rows), "members": [list(r) for r in rows]}

@@ -46,15 +46,5 @@ def row_sums(g: OddFerrersGraph) -> tuple[int, ...]:
 
 def render_ascii(g: OddFerrersGraph) -> str:
     """One line per row, each cell printed as its weight digit."""
-    lines = []
-    for i, row in enumerate(g.shape.parts):
-        lines.append("".join("1" if (i == 0 or j == 0) else "2" for j in range(row)))
-    return "\n".join(lines)
-
-
-def to_json_dict(g: OddFerrersGraph) -> dict:
-    return {
-        "shape": list(g.shape.parts),
-        "weight": graph_weight(g),
-        "row_sums": list(row_sums(g)),
-    }
+    rows = g.shape.parts
+    return "\n".join(["1" * rows[0]] + ["1" + "2" * (r - 1) for r in rows[1:]])

@@ -55,9 +55,6 @@ class TestPhi:
         with pytest.raises(NotSelfConjugate):
             phi(G(7, 4, 2, 1))
 
-    def test_check_mode_accepts_valid_input(self):
-        assert phi(G(3, 3, 2), check=True) == P(5, 5, 5, 3, 3)
-
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_well_defined(self, n):
         for g in members(ClassId.O, n):

@@ -13,7 +13,6 @@ from oddferrers.classes import (
     is_in_O,
     is_in_S,
     members,
-    to_json_dict,
 )
 from oddferrers.ferrers import OddFerrersGraph
 from oddferrers.partitions import Partition
@@ -198,11 +197,6 @@ class TestCount:
             assert count(c, n) == len(members(c, n))
 
 
-def test_json_form():
-    d = to_json_dict(ClassId.S, 1)
-    assert d == {"class": "S", "n": 1, "count": 1, "members": [[3, 1, 1]]}
-
-
 def _package_imports(module_name):
     """The oddferrers modules that `module_name` imports, read from its source."""
     tree = ast.parse((Path(oddferrers.__file__).parent / f"{module_name}.py").read_text())
@@ -241,3 +235,9 @@ def test_classes_does_not_reach_bijections_or_qseries():
     assert "partitions" in _package_imports("classes")
     # the series shares no code with the enumerators or phi
     assert _package_imports("qseries") == set()
+
+
+def test_maps_do_not_use_the_class_predicates():
+    # the maps are judged by the is_in_* predicates, so they must not be
+    # built from them
+    assert "classes" not in _package_imports("bijections")

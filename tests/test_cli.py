@@ -110,10 +110,6 @@ class TestMap:
             code, out, _ = run(capsys, "map", name, "--input", arg)
             assert (code, out) == (0, expected + "\n"), name
 
-    def test_phi_check_flag(self, capsys):
-        code, out, _ = run(capsys, "map", "phi", "--check", "--input", "3,3,2")
-        assert code == 0 and out == "5,5,5,3,3\n"
-
     def test_class_violation_exits_1(self, capsys):
         code, _, err = run(capsys, "map", "phi", "--input", "3,1")
         assert code == 1 and "NotSelfConjugate" in err
@@ -245,7 +241,7 @@ def test_negative_bound_exits_2(capsys, argv):
 
 
 def test_library_error_exits_1_with_its_class_name(capsys, monkeypatch):
-    def refuse(g, check=False):
+    def refuse(g):
         raise MalformedSClass("refused")
 
     monkeypatch.setattr(oddferrers.bijections, "phi", refuse)
@@ -284,7 +280,9 @@ _CLASS_WALKS = [
     ["count", "--class", "S", "--n"],
     ["count", "--class", "O", "--max-n"],
     ["enumerate", "--class", "DO", "--n"],
+    ["verify", "--checks", "roundtrips", "--max-n"],
 ]
+_CLASS_WALK_IDS = ["count-n", "count-max-n", "enumerate", "verify-roundtrips"]
 
 
 def _walk_refused(n):
@@ -292,7 +290,7 @@ def _walk_refused(n):
 
 
 @pytest.mark.parametrize("value", ["cap+1", "1e9"])
-@pytest.mark.parametrize("argv", _CLASS_WALKS, ids=["count-n", "count-max-n", "enumerate"])
+@pytest.mark.parametrize("argv", _CLASS_WALKS, ids=_CLASS_WALK_IDS)
 def test_class_index_over_cap_exits_2_at_once(capsys, monkeypatch, argv, value):
     # the classes grow about tenfold per 50 in n, so a refusal that came
     # after the walk must fail here, not run
@@ -310,7 +308,7 @@ def test_class_index_over_cap_exits_2_at_once(capsys, monkeypatch, argv, value):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("argv", _CLASS_WALKS, ids=["count-n", "count-max-n", "enumerate"])
+@pytest.mark.parametrize("argv", _CLASS_WALKS, ids=_CLASS_WALK_IDS)
 def test_class_index_at_cap_is_walked(capsys, monkeypatch, argv):
     walked = []
 
@@ -382,6 +380,7 @@ def test_no_subcommand_exits_2():
     ["count", "--class", "O", "--max-n", "x"],
     ["enumerate", "--class", "O"],
     ["render"],
+    ["map", "phi", "--check", "--input", "3,3,2"],
 ])
 def test_malformed_arguments_print_usage_and_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,6 @@ from oddferrers.ferrers import (
     graph_weight,
     render_ascii,
     row_sums,
-    to_json_dict,
 )
 from oddferrers.partitions import Partition, hooks_compose
 
@@ -114,11 +113,3 @@ class TestRender:
     def test_digit_totals_match_weight(self, g):
         digits = render_ascii(g).replace("\n", "")
         assert sum(int(d) for d in digits) == graph_weight(g)
-
-
-def test_json_form():
-    assert to_json_dict(graph(3, 3, 2)) == {
-        "shape": [3, 3, 2],
-        "weight": 11,
-        "row_sums": [3, 5, 3],
-    }
