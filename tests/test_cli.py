@@ -308,6 +308,16 @@ def test_class_index_over_cap_exits_2_at_once(capsys, monkeypatch, argv, value):
     assert peak < 2**20
 
 
+def test_verify_series_over_class_cap_walks_no_class(capsys, monkeypatch):
+    # series counts S at every n it checks, so it takes the class cap too;
+    # a bound over the series cap is left to test_series_order_over_cap_exits_2_at_once
+    monkeypatch.setattr(oddferrers.classes, "_CLASSES", {c: (_walk_refused, None) for c in ClassId})
+    cap = oddferrers.cli.MAX_CLASS_N
+    code, out, err = run(capsys, "verify", "--checks", "series", "--max-n", str(cap + 1))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(cap) in err
+
+
 @pytest.mark.parametrize("argv", _CLASS_WALKS, ids=_CLASS_WALK_IDS)
 def test_class_index_at_cap_is_walked(capsys, monkeypatch, argv):
     walked = []

@@ -29,3 +29,10 @@ class TestPNu:
     def test_truncation_stability(self):
         for n in (0, 3, 7, 11):
             assert nu_series(n)[n] == nu_series(n + 10)[n] == nu_series(n + 50)[n]
+
+    def test_every_order_is_a_prefix_of_a_longer_one(self):
+        # the orders n(n+1) and their neighbours are where the expansion
+        # gains or loses a level, so a wrong per-level truncation shows here
+        full = nu_series(300)
+        for k in range(301):
+            assert nu_series(k) == full[:k + 1]
