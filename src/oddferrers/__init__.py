@@ -1,7 +1,7 @@
 """Self-conjugate odd Ferrers graphs, their partition classes, the bijections
 between them, and a mock theta series count oracle."""
 
-from .partitions import Partition, conjugate, is_self_conjugate, hook_decompose, hooks_compose
+from .partitions import Partition, is_self_conjugate, hook_decompose, hooks_compose
 from .ferrers import (
     OddFerrersGraph,
     graph_weight,
@@ -30,7 +30,7 @@ from .bijections import (
 from .qseries import nu_series
 
 __all__ = [
-    "Partition", "conjugate", "is_self_conjugate",
+    "Partition", "is_self_conjugate",
     "hook_decompose", "hooks_compose",
     "OddFerrersGraph", "graph_weight", "row_sums", "render_ascii",
     "ClassId", "is_in_O", "is_in_S", "is_in_D", "is_in_DO",

@@ -1,4 +1,4 @@
-"""Integer partitions, conjugation, and principal-hook decomposition."""
+"""Integer partitions, the self-conjugacy test, and principal-hook decomposition."""
 from __future__ import annotations
 
 import operator
@@ -74,13 +74,6 @@ def _columns(rows: Sequence[int], start: int = 0) -> list[int]:
             k -= 1
         cols.append(k)
     return cols
-
-
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the Ferrers diagram."""
-    if not p.parts:
-        return Partition()
-    return Partition(tuple(_columns(p.parts)))
 
 
 def is_self_conjugate(p: Partition) -> bool:

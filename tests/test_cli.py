@@ -250,19 +250,19 @@ def test_library_error_exits_1_with_its_class_name(capsys, monkeypatch):
     assert err == "MalformedSClass: refused\n"
 
 
+def _expansion_refused(order):
+    raise AssertionError(f"nu_series({order}) was called")
+
+
 @pytest.mark.parametrize("order", ["cap+1", "1e9"])
 @pytest.mark.parametrize("argv", [
     ["count", "--class", "pnu", "--max-n"],
     ["count", "--class", "pnu", "--n"],
-    ["verify", "--checks", "series", "--max-n"],
-], ids=["count-max-n", "count-n", "verify-series"])
+], ids=["count-max-n", "count-n"])
 def test_series_order_over_cap_exits_2_at_once(capsys, monkeypatch, argv, order):
-    def expand(order):
-        raise AssertionError(f"nu_series({order}) was called")
-
-    # expanding the series to 10^9 would take two lists of 8 GB or more, so
+    # expanding the series to 10^9 would take a list of 8 GB or more, so
     # a refusal that came after it must fail here, not run
-    monkeypatch.setattr(oddferrers.qseries, "nu_series", expand)
+    monkeypatch.setattr(oddferrers.qseries, "nu_series", _expansion_refused)
     cap = oddferrers.cli.MAX_SERIES_ORDER
     value = cap + 1 if order == "cap+1" else 10**9
     tracemalloc.start()
@@ -290,11 +290,14 @@ def _walk_refused(n):
 
 
 @pytest.mark.parametrize("value", ["cap+1", "1e9"])
-@pytest.mark.parametrize("argv", _CLASS_WALKS, ids=_CLASS_WALK_IDS)
+@pytest.mark.parametrize("argv", [*_CLASS_WALKS, ["verify", "--checks", "series", "--max-n"]],
+                         ids=[*_CLASS_WALK_IDS, "verify-series"])
 def test_class_index_over_cap_exits_2_at_once(capsys, monkeypatch, argv, value):
-    # the classes grow about tenfold per 50 in n, so a refusal that came
-    # after the walk must fail here, not run
+    # the classes grow about tenfold per 50 in n, and series would expand
+    # to n + 50, so a refusal that came after a walk or an expansion must
+    # fail here, not run
     monkeypatch.setattr(oddferrers.classes, "_CLASSES", {c: (_walk_refused, None) for c in ClassId})
+    monkeypatch.setattr(oddferrers.qseries, "nu_series", _expansion_refused)
     cap = oddferrers.cli.MAX_CLASS_N
     n = cap + 1 if value == "cap+1" else 10**9
     tracemalloc.start()
@@ -306,16 +309,6 @@ def test_class_index_over_cap_exits_2_at_once(capsys, monkeypatch, argv, value):
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(cap) in err
     assert peak < 2**20
-
-
-def test_verify_series_over_class_cap_walks_no_class(capsys, monkeypatch):
-    # series counts S at every n it checks, so it takes the class cap too;
-    # a bound over the series cap is left to test_series_order_over_cap_exits_2_at_once
-    monkeypatch.setattr(oddferrers.classes, "_CLASSES", {c: (_walk_refused, None) for c in ClassId})
-    cap = oddferrers.cli.MAX_CLASS_N
-    code, out, err = run(capsys, "verify", "--checks", "series", "--max-n", str(cap + 1))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and str(cap) in err
 
 
 @pytest.mark.parametrize("argv", _CLASS_WALKS, ids=_CLASS_WALK_IDS)
@@ -331,6 +324,28 @@ def test_class_index_at_cap_is_walked(capsys, monkeypatch, argv):
     code, _, err = run(capsys, *argv, str(cap))
     assert (code, err) == (0, "")
     assert walked[-1] == cap
+
+
+@pytest.mark.parametrize("coeff_3", [3, -1], ids=["off-by-one", "negative"])
+def test_verify_series_failure_names_the_first_counterexample(capsys, monkeypatch, coeff_3):
+    real = oddferrers.qseries.nu_series
+
+    def shifted(order):
+        # only the base order is wrong, so base and wider disagree at n = 3
+        coeffs = list(real(order))
+        if order == 5:
+            coeffs[3] = coeff_3
+        return tuple(coeffs)
+
+    monkeypatch.setattr(oddferrers.qseries, "nu_series", shifted)
+    code, out, _ = run(capsys, "verify", "--checks", "series", "--max-n", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:4] == ["# series 0..5", "0\tPASS", "1\tPASS", "2\tPASS"]
+    assert lines[4] == f"3\tFAIL\tcoeff={coeff_3} wider=2 S=2"
+    assert lines[5] == f"first counterexample: n=3 coeff={coeff_3} wider=2 S=2"
+    assert lines[6:] == ["4\tPASS", "5\tPASS"]
+    assert out.count("first counterexample:") == 1
 
 
 def test_verify_counts_failure_names_the_first_counterexample(capsys, monkeypatch):

@@ -8,7 +8,6 @@ from oddferrers.errors import InvalidHookList, NotSelfConjugate, TooLarge
 from oddferrers.partitions import (
     MAX_CELLS,
     Partition,
-    conjugate,
     hook_decompose,
     hooks_compose,
     is_self_conjugate,
@@ -70,29 +69,6 @@ class TestConstruction:
         with pytest.raises(InvalidHookList) as info:
             hooks_compose([3, 3])
         assert str(info.value) == "hook arms not strictly decreasing positive integers: (3, 3)"
-
-
-class TestConjugate:
-    def test_self_conjugate_square_example(self):
-        assert conjugate(Partition.of(4, 4, 2, 2)) == Partition.of(4, 4, 2, 2)
-
-    def test_empty(self):
-        assert conjugate(Partition()) == Partition()
-
-    def test_two_rows(self):
-        assert conjugate(Partition.of(3, 1)) == Partition.of(2, 1, 1)
-
-    @given(partitions)
-    def test_involution(self, p):
-        assert conjugate(conjugate(p)) == p
-
-    @given(partitions)
-    def test_matches_cell_transpose(self, p):
-        assert conjugate(p).parts == oracles.transpose_cells(p.parts)
-
-    @given(partitions)
-    def test_preserves_weight(self, p):
-        assert conjugate(p).weight == p.weight
 
 
 class TestSelfConjugate:
@@ -198,7 +174,6 @@ def test_conjugate_and_self_conjugacy_match_cell_oracle_up_to_weight_20():
     for w in range(21):
         for parts in oracles.all_partitions_of(w):
             p = Partition(parts)
-            assert conjugate(p).parts == oracles.transpose_cells(parts)
             assert is_self_conjugate(p) == oracles.is_sc(parts)
 
 
