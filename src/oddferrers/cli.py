@@ -37,13 +37,27 @@ class _Refused(Exception):
 
 
 def _parse_partition(text: str) -> Partition:
+    """Comma-separated descending parts, e.g. "5,5,5,3,3". Each part is ASCII
+    digits only, optionally surrounded by whitespace."""
+    if not text.strip():
+        raise _Refused(f"empty partition is not accepted here: {text!r}")
+    tokens = [tok.strip() for tok in text.split(",")]
     try:
-        p = Partition.from_text(text)
+        for tok in tokens:
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(f"part {tok!r} is not a run of digits 0-9")
+        return Partition(tuple(map(int, tokens)))
     except ValueError as exc:
         raise _Refused(f"cannot parse partition {text!r}: {exc}") from exc
-    if not p.parts:
-        raise _Refused(f"empty partition is not accepted here: {text!r}")
-    return p
+
+
+def _parts(member) -> tuple[int, ...]:
+    return member.shape.parts if isinstance(member, OddFerrersGraph) else member.parts
+
+
+def _text(member) -> str:
+    """The inverse of `_parse_partition`: "5,5,5,3,3"."""
+    return ",".join(map(str, _parts(member)))
 
 
 def _nu_series(order: int) -> tuple[int, ...]:
@@ -117,9 +131,9 @@ def _cmd_enumerate(args) -> int:
     found = classes.members(cid, args.n)
     if args.format == "text":
         for member in found:
-            print(member.to_text())
+            print(_text(member))
         return 0
-    rows = [list((m.shape if cid is ClassId.O else m).parts) for m in found]
+    rows = [list(_parts(m)) for m in found]
     print(json.dumps({"class": cid.value, "n": args.n, "count": len(rows), "members": rows}))
     return 0
 
@@ -128,7 +142,7 @@ def _cmd_map(args) -> int:
     p = _parse_partition(args.input)
     fn, takes_graph = _MAPS[args.name]
     arg = OddFerrersGraph(p) if takes_graph else p
-    print(fn(arg).to_text())
+    print(_text(fn(arg)))
     return 0
 
 
@@ -149,12 +163,12 @@ def _verify_roundtrips(n: int) -> tuple[bool, str]:
     ]
     for name, sources, forward, inverse, targets in maps:
         images = [forward(x) for x in sources]
-        image_texts = sorted(y.to_text() for y in images)
-        if image_texts != sorted(y.to_text() for y in targets):
+        image_texts = sorted(map(_text, images))
+        if image_texts != sorted(map(_text, targets)):
             return False, f"{name} image differs from its target class: {image_texts}"
         for x, y in zip(sources, images):
             if inverse(y) != x:
-                return False, f"inverse of {name} does not give back {x.to_text()}"
+                return False, f"inverse of {name} does not give back {_text(x)}"
         # each target y is now forward(x) with inverse(y) = x, so forward(inverse(y)) = y
     return True, ""
 

@@ -21,9 +21,6 @@ class OddFerrersGraph:
         if not self.shape.parts:
             raise ValueError("odd Ferrers graph shape must be nonempty")
 
-    def to_text(self) -> str:
-        return self.shape.to_text()
-
 
 def graph_weight(g: OddFerrersGraph) -> int:
     """Total cell weight: 2*cells minus the border cells (first row + first column)."""

@@ -2,13 +2,10 @@
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidHookList, NotSelfConjugate, TooLarge
-
-_DIGITS = re.compile("[0-9]+")
 
 # the most cells a composed shape may have; `hooks_compose` refuses more
 # before it builds a row, and the CLI's `render` refuses a larger shape
@@ -32,35 +29,12 @@ class Partition:
             if i > 0 and parts[i - 1] < p:
                 raise ValueError(f"parts not weakly decreasing at index {i}: {parts}")
 
-    @classmethod
-    def of(cls, *parts: int) -> Partition:
-        return cls(tuple(parts))
-
-    @classmethod
-    def from_text(cls, text: str) -> Partition:
-        """Parse comma-separated descending parts, e.g. "5,5,5,3,3".
-
-        Each part is ASCII digits only, optionally surrounded by whitespace;
-        anything else (signs, underscores, non-ASCII digits) is a ValueError.
-        """
-        stripped = text.strip()
-        if not stripped:
-            return cls()
-        tokens = [tok.strip() for tok in stripped.split(",")]
-        for tok in tokens:
-            if not _DIGITS.fullmatch(tok):
-                raise ValueError(f"part {tok!r} is not a run of digits 0-9")
-        return cls(tuple(int(tok) for tok in tokens))
-
-    def to_text(self) -> str:
-        return ",".join(str(p) for p in self.parts)
-
     @property
     def weight(self) -> int:
         return sum(self.parts)
 
 
-def _columns(rows: Sequence[int], start: int = 0) -> list[int]:
+def _columns(rows: Sequence[int], start: int) -> list[int]:
     """Column lengths start, start + 1, ..., rows[0] - 1 of the diagram with the
     given nonincreasing rows: column c is the number of rows longer than c.
 

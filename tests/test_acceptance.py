@@ -126,6 +126,36 @@ def test_criterion_6_hook_machinery_roundtrip():
         p = Partition(tuple(sorted(parts, reverse=True)))
         assert is_self_conjugate(p) == oracles.is_sc(p.parts)
 
+    # few of those are self-conjugate, and most of those weigh 4 or less, so
+    # also lay out self-conjugate shapes of weight <= 200 from random hook
+    # cell counts, each with a near-miss: one cell moved down a row
+    shapes = []
+    for _ in range(2_000):
+        # odd cell counts up to a random top, in random order, each kept
+        # while the weight stays <= 200
+        top = rng.randrange(1, 200, 2)
+        cells, total = [], 0
+        for c in rng.sample(range(1, top + 1, 2), (top + 1) // 2):
+            if total + c <= 200:
+                cells.append(c)
+                total += c
+        rows = oracles.sc_from_distinct_odd_cells(cells)
+        shapes.append(rows)
+        # the last cell of a random corner row goes to the end of a random
+        # lower row that can take it
+        padded = [*rows, 0]
+        i = rng.choice([i for i in range(len(rows)) if padded[i] > padded[i + 1]])
+        padded[i] -= 1
+        ends = [j for j in range(i + 1, len(padded)) if padded[j - 1] > padded[j]]
+        if ends:
+            padded[rng.choice(ends)] += 1
+            shapes.append(tuple(r for r in padded if r))
+    for parts in shapes:
+        p = Partition(parts)
+        assert is_self_conjugate(p) == oracles.is_sc(parts), parts
+        if is_self_conjugate(p):
+            assert hooks_compose(hook_decompose(p)) == p, parts
+
 
 def test_criterion_7_rendering_goldens(capsys):
     assert main(["render", "--shape", "7,4,2,1"]) == 0

@@ -162,9 +162,10 @@ class TestMap:
         from oddferrers.classes import members
 
         for p in members(ClassId.S, 6):
-            _, shape_text, _ = run(capsys, "map", "phi-inverse", "--input", p.to_text())
+            text = ",".join(map(str, p.parts))
+            _, shape_text, _ = run(capsys, "map", "phi-inverse", "--input", text)
             _, back, _ = run(capsys, "map", "phi", "--input", shape_text.strip())
-            assert back.strip() == p.to_text()
+            assert back.strip() == text
 
 
 class TestVerify:
@@ -212,6 +213,17 @@ class TestRender:
     def test_parse_failure_exits_2(self, capsys):
         code, _, _ = run(capsys, "render", "--shape", "a,b")
         assert code == 2
+
+    def test_text_roundtrip(self, capsys):
+        # a printed shape parses back to the same parts
+        code, out, _ = run(capsys, "map", "distinct-odd-to-sc", "--input", "9,7,5")
+        assert (code, out) == (0, "5,5,5,3,3\n")
+        code, out, _ = run(capsys, "render", "--shape", out, "--format", "json")
+        assert code == 0 and json.loads(out)["shape"] == [5, 5, 5, 3, 3]
+
+    def test_whitespace_around_parts_is_allowed(self, capsys):
+        code, out, _ = run(capsys, "render", "--shape", " 5 , 3,1\n", "--format", "json")
+        assert code == 0 and json.loads(out)["shape"] == [5, 3, 1]
 
     @pytest.mark.parametrize("fmt", ["ascii", "json"])
     @pytest.mark.parametrize("shape", ["999999,2", "100000000"])

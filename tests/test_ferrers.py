@@ -77,18 +77,18 @@ class TestSelfConjugateGraph:
         assert not is_in_O(graph(4, 2), 3)
 
 
-class TestWeightedHookSums:
-    """The weighted hook sums of a graph (1 per border cell, 2 per interior
-    cell) are its D-class form `o_to_d`, as parts sorted descending."""
+class TestOToD:
+    """`o_to_d` gives the weighted sums of a graph's principal hooks (1 per
+    border cell, 2 per interior cell), as parts sorted descending."""
 
     def test_worked_example(self):
-        assert o_to_d(graph(3, 3, 2)) == Partition.of(6, 5)
+        assert o_to_d(graph(3, 3, 2)) == Partition((6, 5))
 
     def test_single_cell(self):
-        assert o_to_d(graph(1)) == Partition.of(1)
+        assert o_to_d(graph(1)) == Partition((1,))
 
     def test_square_example(self):
-        assert o_to_d(graph(4, 4, 2, 2)) == Partition.of(10, 7)
+        assert o_to_d(graph(4, 4, 2, 2)) == Partition((10, 7))
 
     def test_rejects_non_self_conjugate(self):
         with pytest.raises(NotSelfConjugate):
