@@ -81,19 +81,23 @@ def sc_from_distinct_odd_cells(parts):
     return tuple(rows)
 
 
-def distinct_odd_partitions_of(m, maxpart=None):
-    """Partitions of m into distinct odd parts, descending tuples."""
+def distinct_odd_partitions_of(m, maxpart=None, prefix=()):
+    """Partitions of m into distinct odd parts, descending tuples, each after
+    the given prefix."""
     if maxpart is None:
         maxpart = m
     if m == 0:
-        yield ()
+        yield prefix
         return
     first = min(m, maxpart)
     if first % 2 == 0:
         first -= 1
     for f in range(first, 0, -2):
-        for rest in distinct_odd_partitions_of(m - f, f - 2):
-            yield (f,) + rest
+        # the distinct odd parts below f sum to at most ((f - 1) / 2)^2, and
+        # a smaller f leaves more to fill with less
+        if m - f > (f - 1) ** 2 // 4:
+            break
+        yield from distinct_odd_partitions_of(m - f, f - 2, prefix + (f,))
 
 
 def naive_S(n):

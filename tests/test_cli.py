@@ -122,6 +122,10 @@ class TestMap:
         for text in ("7,5,3", "8,6,4"):
             code, out, err = run(capsys, "map", "do-to-d", "--input", text)
             assert (code, out) == (1, "") and "MalformedDOClass" in err
+        # the D layout sorts its parts: 10,3 lays out arms (2, 3), which rise
+        for name in ("d-to-o", "d-to-do"):
+            code, out, err = run(capsys, "map", name, "--input", "10,3")
+            assert (code, out) == (1, "") and err.startswith("MalformedDClass")
 
     @pytest.mark.parametrize("name", ["phi", "phi-inverse", "o-to-d", "sc-to-distinct-odd"])
     def test_long_single_row_exits_1(self, capsys, name):
@@ -338,6 +342,14 @@ def test_class_index_at_cap_is_walked(capsys, monkeypatch, argv):
     assert walked[-1] == cap
 
 
+def test_verify_series_walks_no_class(capsys, monkeypatch):
+    # counts already compares every class count with the same coefficients
+    monkeypatch.setattr(oddferrers.classes, "_CLASSES", {c: (_walk_refused, None) for c in ClassId})
+    code, out, err = run(capsys, "verify", "--checks", "series", "--max-n", "40")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["# series 0..40", *(f"{n}\tPASS" for n in range(41))]
+
+
 @pytest.mark.parametrize("coeff_3", [3, -1], ids=["off-by-one", "negative"])
 def test_verify_series_failure_names_the_first_counterexample(capsys, monkeypatch, coeff_3):
     real = oddferrers.qseries.nu_series
@@ -354,8 +366,8 @@ def test_verify_series_failure_names_the_first_counterexample(capsys, monkeypatc
     assert code == 1
     lines = out.splitlines()
     assert lines[:4] == ["# series 0..5", "0\tPASS", "1\tPASS", "2\tPASS"]
-    assert lines[4] == f"3\tFAIL\tcoeff={coeff_3} wider=2 S=2"
-    assert lines[5] == f"first counterexample: n=3 coeff={coeff_3} wider=2 S=2"
+    assert lines[4] == f"3\tFAIL\tcoeff={coeff_3} wider=2"
+    assert lines[5] == f"first counterexample: n=3 coeff={coeff_3} wider=2"
     assert lines[6:] == ["4\tPASS", "5\tPASS"]
     assert out.count("first counterexample:") == 1
 
