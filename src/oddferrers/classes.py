@@ -1,9 +1,10 @@
-"""Membership predicates and canonical-order enumerators for the four
-partition classes: O (self-conjugate odd Ferrers graphs of 2n+1),
+"""Membership predicates and walks for the four partition classes:
+O (self-conjugate odd Ferrers graphs of 2n+1),
 S (self-conjugate partitions of 4n+1 into odd parts),
 D (distinct parts, one dominant odd part, evens of the form 4k+2, weight 2n+1),
 DO (distinct odd parts in consecutive 4k+3/4k+1 pairs under a 4k+1 head,
-weight 4n+1)."""
+weight 4n+1). A walk yields its class in the order it finds it; only
+`members` sorts."""
 from __future__ import annotations
 
 from enum import Enum
@@ -75,30 +76,23 @@ def is_in_DO(p: Partition, n: int) -> bool:
 def _iter_O_arms(n: int) -> Iterator[tuple[int, ...]]:
     """Arm sequences a_1 > ... > a_d >= 1 with (2a_1-1) + sum 2(2a_i-1) = 2n+1.
 
-    Each loop breaks once the weight left after arm a exceeds 2(a-1)^2 =
-    sum_{k<a} (4k-2), the most that interior arms below a can add; the
-    weight left only grows as a falls, so no later a can reach the target.
+    Choose the inner arms a_2 > a_3 > ...; the head a_1 is what is left,
+    n+1 less 2a-1 for each inner arm a. Each loop starts at the largest a
+    that keeps the head above a_2: 3a <= head for a_2 itself, and
+    2a <= head - a_2 below it. The head only shrinks further down, so the
+    branches skipped hold no member, and every node the walk enters is a
+    member.
     """
-    target = 2 * n + 1
-
-    def inner(remaining: int, below: int, arms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield arms
-            return
-        # interior hooks contribute 2(2a-1) = 4a-2
-        amax = min(below - 1, (remaining + 2) // 4)
+    def inner(head: int, arms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        yield (head,) + arms
+        if arms:
+            amax = min(arms[-1] - 1, (head - arms[0]) // 2)
+        else:
+            amax = head // 3
         for a in range(amax, 0, -1):
-            left = remaining - (4 * a - 2)
-            if left > 2 * (a - 1) ** 2:
-                break
-            yield from inner(left, a, arms + (a,))
+            yield from inner(head - (2 * a - 1), arms + (a,))
 
-    # outermost hook contributes 2a_1 - 1
-    for a1 in range((target + 1) // 2, 0, -1):
-        left = target - (2 * a1 - 1)
-        if left > 2 * (a1 - 1) ** 2:
-            break
-        yield from inner(left, a1, (a1,))
+    yield from inner(n + 1, ())
 
 
 def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
@@ -181,30 +175,24 @@ def _iter_DO_parts(n: int) -> Iterator[tuple[int, ...]]:
     """A head part of the form 4k+1 followed by pairs (x+2, x) with x of the
     form 4k+1, strictly decreasing.
 
-    Each loop breaks once the weight left after the head or a pair at x
-    exceeds (x-1)^2/4, with x the head or the pair's smaller part: the
-    pairs below x are at x' = 1, 5, ..., x-4, and with x = 4m+1 they add at
-    most sum_{j<m} (8j+4) = 4m^2.
+    Choose the pairs; the head is what is left, 4n+1 less 2x+2 for each
+    pair at x, so it stays 1 mod 4. Each loop starts at the largest x that
+    keeps the head above the first pair's top part t: 3x + 4 < head for
+    the first pair, 2x + 2 < head - t below it. The head only shrinks
+    further down, so the branches skipped hold no member, and every node
+    the walk enters is a member.
     """
-    target = 4 * n + 1
-
-    def pairs(remaining: int, below: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield acc
-            return
-        # pair (x+2, x) contributes 2x+2; x = 4k+1, x+2 < below
-        xmax = min(below - 3, (remaining - 2) // 2)
+    def inner(head: int, pairs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        yield (head,) + pairs
+        if pairs:
+            xmax = min(pairs[-1] - 4, (head - pairs[0] - 3) // 2)
+        else:
+            xmax = (head - 5) // 3
         xmax -= (xmax - 1) % 4
         for x in range(xmax, 0, -4):
-            left = remaining - (2 * x + 2)
-            if left > (x - 1) ** 2 // 4:
-                break
-            yield from pairs(left, x, acc + (x + 2, x))
+            yield from inner(head - (2 * x + 2), pairs + (x + 2, x))
 
-    for head in range(target, 0, -4):
-        if target - head > (head - 1) ** 2 // 4:
-            break
-        yield from pairs(target - head, head, (head,))
+    yield from inner(4 * n + 1, ())
 
 
 # class -> (its walk, the member that one item of the walk encodes). O's

@@ -140,11 +140,15 @@ class TestEnumerators:
     @pytest.mark.parametrize("c", list(ClassId))
     def test_members_descend_and_match_count_to_60(self, c):
         # O's walk is sorted as arm tuples, not as shapes, so this checks that
-        # the two orders agree on every member up to n = 60
+        # the two orders agree on every member up to n = 60; each walk bound
+        # is checked too, since a bound one too loose yields a non-member
+        is_in = {ClassId.O: is_in_O, ClassId.S: is_in_S, ClassId.D: is_in_D, ClassId.DO: is_in_DO}[c]
         for n in range(61):
-            parts = [(m.shape if c is ClassId.O else m).parts for m in members(c, n)]
+            found = members(c, n)
+            parts = [(m.shape if c is ClassId.O else m).parts for m in found]
             assert all(a > b for a, b in zip(parts, parts[1:])), n
             assert len(parts) == count(c, n), n
+            assert all(is_in(m, n) for m in found), n
 
     @pytest.mark.parametrize("n", range(15))
     def test_deterministic(self, n):
