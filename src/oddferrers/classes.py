@@ -77,22 +77,22 @@ def _iter_O_arms(n: int) -> Iterator[tuple[int, ...]]:
     """Arm sequences a_1 > ... > a_d >= 1 with (2a_1-1) + sum 2(2a_i-1) = 2n+1.
 
     Choose the inner arms a_2 > a_3 > ...; the head a_1 is what is left,
-    n+1 less 2a-1 for each inner arm a. Each loop starts at the largest a
-    that keeps the head above a_2: 3a <= head for a_2 itself, and
-    2a <= head - a_2 below it. The head only shrinks further down, so the
-    branches skipped hold no member, and every node the walk enters is a
-    member.
+    n+1 less 2a-1 for each inner arm a. A node's children run up to the
+    largest a that keeps the head above a_2: 3a <= head for a_2 itself,
+    and 2a <= head - a_2 below it. The head only shrinks further down, so
+    the branches skipped hold no member, and every node the walk enters is
+    a member.
     """
-    def inner(head: int, arms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    stack = [(n + 1, ())]
+    while stack:
+        head, arms = stack.pop()
         yield (head,) + arms
         if arms:
             amax = min(arms[-1] - 1, (head - arms[0]) // 2)
         else:
             amax = head // 3
-        for a in range(amax, 0, -1):
-            yield from inner(head - (2 * a - 1), arms + (a,))
-
-    yield from inner(n + 1, ())
+        for a in range(1, amax + 1):
+            stack.append((head - (2 * a - 1), arms + (a,)))
 
 
 def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
@@ -125,40 +125,40 @@ def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
     leaf is still composed and tested, so the prune is only an optimisation.
     """
     target = 4 * n + 1
-
-    def inner(remaining: int, below: int, arms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    stack = [(target, target + 2, ())]
+    while stack:
+        remaining, below, arms = stack.pop()
         if remaining == 0:
             parts = hooks_compose(arms).parts
-            if all(x % 2 == 1 for x in parts):
+            if all(x & 1 for x in parts):
                 yield parts
-            return
-        i = len(arms)
-        cmax = min(below - 2, remaining)
-        if i % 2 == 1:  # rule 3
-            cmax = min(cmax, (remaining + 2) // 2)
-        cmax -= (cmax - 1 - 2 * (i % 2)) % 4  # rule 1
-        stop = below - 3 if i and i % 2 == 0 else 0  # rule 2
+            continue
+        odd = len(arms) % 2
+        cmax = below - 2 if below - 2 < remaining else remaining
+        if odd and (remaining + 2) // 2 < cmax:  # rule 3
+            cmax = (remaining + 2) // 2
+        cmax -= (cmax - 1 - 2 * odd) % 4  # rule 1
+        stop = below - 3 if arms and not odd else 0  # rule 2
         for c in range(cmax, stop, -4):
-            if remaining - c > ((c - 1) // 2) ** 2:  # rule 4
+            h = (c - 1) // 2
+            if remaining - c > h * h:  # rule 4
                 break
-            yield from inner(remaining - c, c, arms + ((c + 1) // 2,))
-
-    yield from inner(target, target + 2, ())
+            stack.append((remaining - c, c, arms + ((c + 1) // 2,)))
 
 
 def _iter_D_parts(n: int) -> Iterator[tuple[int, ...]]:
     """Choose distinct parts congruent to 2 mod 4; the leftover odd part must
     exceed half the greatest even part.
 
-    With w the weight left, each loop starts at the largest e that keeps
-    the odd part w - e above half the greatest even part: 3e < 2w for the
-    first (and greatest) even part, e < w - top/2 below a greatest part
-    top. The odd part only shrinks further down, so the branches skipped
-    hold no member, and every node the walk enters is a member.
+    With w the weight left, a node's children run up to the largest e that
+    keeps the odd part w - e above half the greatest even part: 3e < 2w
+    for the first (and greatest) even part, e < w - top/2 below a greatest
+    part top. The odd part only shrinks further down, so the branches
+    skipped hold no member, and every node the walk enters is a member.
     """
-    target = 2 * n + 1
-
-    def inner(remaining: int, below: int, evens: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    stack = [(2 * n + 1, 0, ())]
+    while stack:
+        remaining, below, evens = stack.pop()
         yield tuple(sorted(evens + (remaining,), reverse=True))
         if evens:
             emax = min(below - 4, remaining - evens[0] // 2 - 1)
@@ -166,9 +166,7 @@ def _iter_D_parts(n: int) -> Iterator[tuple[int, ...]]:
             emax = (2 * remaining - 1) // 3
         emax -= (emax - 2) % 4
         for e in range(emax, 1, -4):
-            yield from inner(remaining - e, e, evens + (e,))
-
-    yield from inner(target, 0, ())
+            stack.append((remaining - e, e, evens + (e,)))
 
 
 def _iter_DO_parts(n: int) -> Iterator[tuple[int, ...]]:
@@ -176,13 +174,15 @@ def _iter_DO_parts(n: int) -> Iterator[tuple[int, ...]]:
     form 4k+1, strictly decreasing.
 
     Choose the pairs; the head is what is left, 4n+1 less 2x+2 for each
-    pair at x, so it stays 1 mod 4. Each loop starts at the largest x that
-    keeps the head above the first pair's top part t: 3x + 4 < head for
-    the first pair, 2x + 2 < head - t below it. The head only shrinks
+    pair at x, so it stays 1 mod 4. A node's children run up to the largest
+    x that keeps the head above the first pair's top part t: 3x + 4 < head
+    for the first pair, 2x + 2 < head - t below it. The head only shrinks
     further down, so the branches skipped hold no member, and every node
     the walk enters is a member.
     """
-    def inner(head: int, pairs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    stack = [(4 * n + 1, ())]
+    while stack:
+        head, pairs = stack.pop()
         yield (head,) + pairs
         if pairs:
             xmax = min(pairs[-1] - 4, (head - pairs[0] - 3) // 2)
@@ -190,9 +190,7 @@ def _iter_DO_parts(n: int) -> Iterator[tuple[int, ...]]:
             xmax = (head - 5) // 3
         xmax -= (xmax - 1) % 4
         for x in range(xmax, 0, -4):
-            yield from inner(head - (2 * x + 2), pairs + (x + 2, x))
-
-    yield from inner(4 * n + 1, ())
+            stack.append((head - (2 * x + 2), pairs + (x + 2, x)))
 
 
 # class -> (its walk, the member that one item of the walk encodes). O's

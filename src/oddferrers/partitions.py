@@ -38,15 +38,17 @@ def _columns(rows: Sequence[int], start: int) -> list[int]:
     """Column lengths start, start + 1, ..., rows[0] - 1 of the diagram with the
     given nonincreasing rows: column c is the number of rows longer than c.
 
-    One pointer walks down the rows as c grows, so the cost is
-    O(len(rows) + rows[0] - start), not one step per cell.
+    Columns rows[k] .. rows[k-1] - 1 all have length k, so each run is built
+    in one step, from the last row up: the cost is O(len(rows)) Python steps
+    and O(rows[0] - start) list cells, not one step per column or per cell.
     """
     cols = []
-    k = len(rows)
-    for c in range(start, rows[0]):
-        while rows[k - 1] <= c:
-            k -= 1
-        cols.append(k)
+    prev = start
+    for k in range(len(rows), 0, -1):
+        r = rows[k - 1]
+        if r > prev:
+            cols += [k] * (r - prev)
+            prev = r
     return cols
 
 

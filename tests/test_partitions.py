@@ -9,6 +9,7 @@ from oddferrers.errors import InvalidHookList, NotSelfConjugate, TooLarge
 from oddferrers.partitions import (
     MAX_CELLS,
     Partition,
+    _columns,
     hook_decompose,
     hooks_compose,
     is_self_conjugate,
@@ -169,6 +170,10 @@ def test_conjugate_and_self_conjugacy_match_cell_oracle_up_to_weight_20():
         for parts in oracles.all_partitions_of(w):
             p = Partition(parts)
             assert is_self_conjugate(p) == oracles.is_sc(parts)
+            if parts:
+                columns = oracles.transpose_cells(parts)
+                for s in range(parts[0] + 1):
+                    assert _columns(parts, s) == list(columns[s:])
 
 
 def test_hook_layout_oracle_matches_cell_peeling_up_to_weight_40():
