@@ -93,7 +93,7 @@ def phi_inverse(p: Partition) -> OddFerrersGraph:
 
 def sc_to_distinct_odd(p: Partition) -> Partition:
     """Principal hook cell counts of a self-conjugate partition, as parts."""
-    return Partition(tuple(2 * a - 1 for a in hook_decompose(p)))
+    return Partition._trusted(tuple(2 * a - 1 for a in hook_decompose(p)))
 
 
 def distinct_odd_to_sc(p: Partition) -> Partition:
@@ -106,7 +106,7 @@ def distinct_odd_to_sc(p: Partition) -> Partition:
 
 def o_to_d(g: OddFerrersGraph) -> Partition:
     """Weighted hook sums of the graph, as a partition."""
-    return Partition(_d_parts(hook_decompose(g.shape)))
+    return Partition._trusted(_d_parts(hook_decompose(g.shape)))
 
 
 def d_to_o(p: Partition) -> OddFerrersGraph:
@@ -120,10 +120,10 @@ def d_to_do(p: Partition) -> Partition:
 
     Pinned by property tests to the composition sc_to_distinct_odd(phi(d_to_o(p))).
     """
-    return Partition(_do_parts(_decode_D(p)))
+    return Partition._trusted(_do_parts(_decode_D(p)))
 
 
 def do_to_d(p: Partition) -> Partition:
     """Inverse of d_to_do: the head becomes (head+1)/2, each consecutive pair
     differing by 2 collapses to its even midpoint."""
-    return Partition(_d_parts(_decode_DO(p)))
+    return Partition._trusted(_d_parts(_decode_DO(p)))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OddFerrersGraph:
     """An odd Ferrers graph, identified by its underlying (nonempty) shape.
 

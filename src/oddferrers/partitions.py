@@ -12,11 +12,19 @@ from .errors import InvalidHookList, NotSelfConjugate, TooLarge
 MAX_CELLS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A weakly decreasing sequence of positive parts. The empty partition is allowed."""
 
     parts: tuple[int, ...] = ()
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> Partition:
+        """A partition built without the check. Use it only on parts laid out
+        in this package from an arm tuple that has passed its check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        return p
 
     def __post_init__(self):
         parts = self.parts
@@ -98,4 +106,4 @@ def hooks_compose(arms: Sequence[int]) -> Partition:
     # it are the square rows' columns from d on
     rows = [a + i for i, a in enumerate(arms)]
     rows += _columns(rows, len(arms))
-    return Partition(tuple(rows))
+    return Partition._trusted(tuple(rows))

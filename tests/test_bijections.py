@@ -33,6 +33,7 @@ import oracles
 
 EXHAUSTIVE_N = 12
 TOTALITY_MAX_WEIGHT = 30
+TRUSTED_N = 30
 
 
 def P(*parts):
@@ -210,6 +211,40 @@ class TestDDOBijection:
         # the direct +-1 formula must agree with the compositional route
         for g in members(ClassId.O, n):
             assert sc_to_distinct_odd(phi(g)) == d_to_do(o_to_d(g))
+
+
+@pytest.fixture(scope="module")
+def members_to_trusted_n():
+    return {c: [m for n in range(TRUSTED_N + 1) for m in members(c, n)] for c in ClassId}
+
+
+# each map that lays its output out from checked arms without Partition's
+# check, and the class whose members it takes
+TRUSTED_SITES = {
+    "hooks_compose in members(O)": (ClassId.O, lambda g: g.shape),
+    "hooks_compose in phi": (ClassId.O, phi),
+    "hooks_compose in phi_inverse": (ClassId.S, lambda p: phi_inverse(p).shape),
+    "hooks_compose in d_to_o": (ClassId.D, lambda p: d_to_o(p).shape),
+    "hooks_compose in distinct_odd_to_sc": (
+        ClassId.S, lambda p: distinct_odd_to_sc(sc_to_distinct_odd(p))),
+    "o_to_d": (ClassId.O, o_to_d),
+    "do_to_d": (ClassId.DO, do_to_d),
+    "d_to_do": (ClassId.D, d_to_do),
+    "sc_to_distinct_odd": (ClassId.S, sc_to_distinct_odd),
+}
+
+
+@pytest.mark.parametrize("site", list(TRUSTED_SITES))
+def test_trusted_sites_give_valid_partitions(site, members_to_trusted_n):
+    """Judged here and not by Partition, which these sites skip: the parts
+    are a tuple of ints >= 1 that weakly fall, for every member with
+    n <= TRUSTED_N."""
+    c, fn = TRUSTED_SITES[site]
+    for m in members_to_trusted_n[c]:
+        parts = fn(m).parts
+        assert type(parts) is tuple, (site, m)
+        assert all(type(x) is int and x >= 1 for x in parts), (site, m)
+        assert all(a >= b for a, b in zip(parts, parts[1:])), (site, m)
 
 
 def _in_O(g):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import oddferrers
+from oddferrers import classes
 from oddferrers.classes import (
     ClassId,
     count,
@@ -196,6 +197,25 @@ class TestCount:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**10
+
+    def test_s_drops_a_leaf_with_an_even_row(self, monkeypatch):
+        # the row rules leave no even row at any leaf, so only a doctored
+        # composition shows that the walk's own all-odd test is live: the
+        # first leaf's head row, odd at every leaf, is made one longer
+        n = 5
+        compose = classes.hooks_compose
+        leaves = []
+
+        def doctored(arms):
+            p = compose(arms)
+            leaves.append(p)
+            if len(leaves) == 1:
+                return Partition((p.parts[0] + 1,) + p.parts[1:])
+            return p
+
+        monkeypatch.setattr(classes, "hooks_compose", doctored)
+        assert count(ClassId.S, n) == nu_series(n)[n] - 1
+        assert len(leaves) == nu_series(n)[n]
 
     @pytest.mark.parametrize("c", list(ClassId))
     def test_count_matches_enumeration_length(self, c):

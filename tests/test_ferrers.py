@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +35,29 @@ sc_shapes = st.sets(st.integers(1, 20), min_size=1, max_size=8).map(
 def test_empty_shape_rejected():
     with pytest.raises(ValueError):
         OddFerrersGraph(Partition())
+
+
+class TestValue:
+    """OddFerrersGraph is a frozen, slotted dataclass over a Partition that
+    the package may have built without the check."""
+
+    def test_pickle_and_deepcopy_give_equal_objects(self):
+        for g in (graph(3, 3, 2), OddFerrersGraph(hooks_compose((4, 3)))):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(g, protocol)) == g
+            assert copy.deepcopy(g) == g
+
+    def test_trusted_equals_checked(self):
+        trusted = OddFerrersGraph(Partition._trusted((4, 4, 2, 2)))
+        checked = graph(4, 4, 2, 2)
+        assert trusted == checked
+        assert hash(trusted) == hash(checked)
+
+    def test_frozen_and_slotted(self):
+        g = graph(3, 3, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.shape = Partition((1,))
+        assert not hasattr(g, "__dict__")
 
 
 class TestGraphWeight:

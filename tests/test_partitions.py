@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 
 import pytest
@@ -64,6 +67,29 @@ class TestConstruction:
         with pytest.raises(InvalidHookList) as info:
             hooks_compose([3, 3])
         assert str(info.value) == "hook arms not strictly decreasing positive integers: (3, 3)"
+
+
+class TestValue:
+    """Partition is a frozen, slotted dataclass, and the package builds its
+    own shapes without the check: both must still behave as values."""
+
+    def test_pickle_and_deepcopy_give_equal_objects(self):
+        for p in (Partition((5, 5, 5, 3, 3)), Partition(), hooks_compose((4, 3))):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(p, protocol)) == p
+            assert copy.deepcopy(p) == p
+
+    def test_trusted_equals_checked(self):
+        trusted, checked = Partition._trusted((4, 4, 2, 2)), Partition((4, 4, 2, 2))
+        assert trusted == checked
+        assert hash(trusted) == hash(checked)
+        assert len({trusted, checked, hooks_compose((4, 3))}) == 1
+
+    def test_frozen_and_slotted(self):
+        p = Partition((3, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.parts = (1,)
+        assert not hasattr(p, "__dict__")
 
 
 class TestSelfConjugate:
