@@ -8,6 +8,7 @@ weight 4n+1). A walk yields its class in the order it finds it; only
 from __future__ import annotations
 
 from enum import Enum
+from math import isqrt
 from typing import Iterator
 
 from .ferrers import OddFerrersGraph, graph_weight
@@ -111,21 +112,33 @@ def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
        steps by 4.
     2. When p_i < p_{i-1}, the rows in [p_i, p_{i-1}) equal i, so i must be
        odd. Arms strictly fall, so p_i <= p_{i-1} with equality only for
-       c = below - 2; at an even i >= 2 the loop runs for that c alone.
+       c = below - 2; at an even i >= 2 that is the one hook left open.
     3. At a leaf with d hooks, when p_{d-1} > d the rows in [d, p_{d-1})
        equal d, so d must be odd; when p_{d-1} = d, rule 1 makes d odd. So
        at an odd i the walk goes on, to c - 2 by rule 2, and the weight left
        after c is at least c - 2: c <= (remaining + 2) / 2.
-    4. The loop over c stops once the weight left after c exceeds
-       ((c-1)/2)^2, the largest sum of distinct odd hooks below c.
+    4. The weight left after c is at most ((c-1)/2)^2, the largest sum of
+       distinct odd hooks below c.
+
+    So every hook c at an odd i comes with its forced successor c - 2, and
+    the walk places the two in one step. The head is placed before the loop,
+    and every node the loop takes is at an odd i. With R the weight left
+    before c, rule 4 reads R - c <= ((c-1)/2)^2 for the head, and
+    R - 2c + 2 <= ((c-3)/2)^2 for a pair, at its second hook. Times 4, both
+    are (c+1)^2 >= 4R, which holds exactly when c + 1 > isqrt(4R - 1). So
+    rule 4 is one lower bound on c, c >= isqrt(4R - 1), and the second hook
+    of a pair never fails it once the first has passed.
 
     Rules 1-3 name every row of the partition (each p_i >= d, so the rows in
     rules 2 and 3 lie below the square and are counted nowhere else), and
     rule 4 drops only branches with no leaf, so the prune is exact. Each
-    leaf is still composed and tested, so the prune is only an optimisation.
+    leaf is still composed and its rows tested, and the test is live: a leaf
+    with an even row is dropped, so the prune is only an optimisation.
     """
     target = 4 * n + 1
-    stack = [(target, target + 2, ())]
+    stack = []
+    for c in range(target, isqrt(4 * target - 1) - 1, -4):  # rules 1 and 4
+        stack.append((target - c, c, ((c + 1) // 2,)))
     while stack:
         remaining, below, arms = stack.pop()
         if remaining == 0:
@@ -133,17 +146,12 @@ def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
             if all(x & 1 for x in parts):
                 yield parts
             continue
-        odd = len(arms) % 2
-        cmax = below - 2 if below - 2 < remaining else remaining
-        if odd and (remaining + 2) // 2 < cmax:  # rule 3
-            cmax = (remaining + 2) // 2
-        cmax -= (cmax - 1 - 2 * odd) % 4  # rule 1
-        stop = below - 3 if arms and not odd else 0  # rule 2
-        for c in range(cmax, stop, -4):
-            h = (c - 1) // 2
-            if remaining - c > h * h:  # rule 4
-                break
-            stack.append((remaining - c, c, arms + ((c + 1) // 2,)))
+        cmax = (remaining + 2) // 2  # rule 3
+        if below - 2 < cmax:
+            cmax = below - 2
+        cmax -= (cmax - 3) % 4  # rule 1
+        for c in range(cmax, isqrt(4 * remaining - 1) - 1, -4):  # rule 4
+            stack.append((remaining - 2 * c + 2, c - 2, arms + ((c + 1) // 2, (c - 1) // 2)))
 
 
 def _iter_D_parts(n: int) -> Iterator[tuple[int, ...]]:

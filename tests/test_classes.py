@@ -1,5 +1,6 @@
 import ast
 import tracemalloc
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,34 @@ class TestCount:
         monkeypatch.setattr(classes, "hooks_compose", doctored)
         assert count(ClassId.S, n) == nu_series(n)[n] - 1
         assert len(leaves) == nu_series(n)[n]
+
+    def test_s_composes_exactly_its_members(self, monkeypatch):
+        # a loosened row rule composes a leaf that the all-odd test then
+        # drops, and a cut too many composes one leaf too few
+        compose = classes.hooks_compose
+        calls = [0]
+
+        def counted(arms):
+            calls[0] += 1
+            return compose(arms)
+
+        monkeypatch.setattr(classes, "hooks_compose", counted)
+        series = nu_series(40)
+        for n in range(41):
+            calls[0] = 0
+            assert count(ClassId.S, n) == series[n]
+            assert calls[0] == series[n]
+
+    def test_s_rule_4_is_one_lower_bound(self):
+        # the S walk prunes rule 4 as c >= isqrt(4R - 1), R the weight left
+        # before c; for the head and for a pair (c, c - 2) alike that must be
+        # the bound that the largest sum of distinct odd hooks below sets
+        for c in range(1, 200, 2):
+            for R in range(1, 401):
+                bound = c >= isqrt(4 * R - 1)
+                assert (R - c <= ((c - 1) // 2) ** 2) == bound, (c, R)
+                if c >= 3:
+                    assert (R - 2 * c + 2 <= ((c - 3) // 2) ** 2) == bound, (c, R)
 
     @pytest.mark.parametrize("c", list(ClassId))
     def test_count_matches_enumeration_length(self, c):
