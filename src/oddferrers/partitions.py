@@ -28,6 +28,10 @@ class Partition:
 
     def __post_init__(self):
         parts = self.parts
+        # a float, a bool or a list would pass the order check and then fail
+        # inside a map with a bare TypeError
+        if type(parts) is not tuple or not {*map(type, parts)} <= {int}:
+            raise TypeError(f"parts must be a tuple of int: {parts!r}")
         if not parts or (parts[-1] >= 1 and all(map(operator.ge, parts, parts[1:]))):
             return
         # only an invalid tuple gets here; find its first fault for the message

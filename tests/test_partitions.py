@@ -47,6 +47,12 @@ class TestConstruction:
             Partition(parts)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("parts", [(2.5, 1), (True,), (1.0,), [3, 1]],
+                             ids=["float", "bool", "integral-float", "list"])
+    def test_rejects_parts_that_are_not_a_tuple_of_int(self, parts):
+        with pytest.raises(TypeError, match="parts must be a tuple of int"):
+            Partition(parts)
+
     def test_empty_allowed(self):
         assert Partition().weight == 0
 
