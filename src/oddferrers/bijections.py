@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 
-from .errors import MalformedDClass, MalformedDOClass, MalformedSClass, NotDistinctOdd
+from .errors import MalformedDClass, MalformedDOClass, MalformedSClass, NotDistinctOdd, Refusal
 from .ferrers import OddFerrersGraph
 from .partitions import Partition, hook_decompose, hooks_compose
 
@@ -49,20 +49,20 @@ def _decode_S(p: Partition) -> tuple[int, ...]:
     """The hook arms fall and are positive, so equality forces the arms to."""
     hooks = hook_decompose(p)
     if hooks:
-        arms = ((hooks[0] + 1) // 2,) + tuple(x // 2 for x in hooks[1::2])
+        arms = ((hooks[0] + 1) // 2, *[x // 2 for x in hooks[1::2]])
         if _s_hooks(arms) == hooks:
             return arms
-    raise MalformedSClass(f"{p.parts} does not have hook arms 2a_1 - 1 and pairs 2a, 2a - 1")
+    raise MalformedSClass(Refusal(p.parts, "does not have hook arms 2a_1 - 1 and pairs 2a, 2a - 1"))
 
 
 def _decode_D(p: Partition) -> tuple[int, ...]:
     """The layout sorts its parts, so equality alone accepts 10,3 (arms 2, 3)."""
     odds = [x for x in p.parts if x % 2]
     if len(odds) == 1:
-        arms = ((odds[0] + 1) // 2,) + tuple((e + 2) // 4 for e in p.parts if e % 2 == 0)
+        arms = ((odds[0] + 1) // 2, *[(e + 2) // 4 for e in p.parts if e % 2 == 0])
         if all(map(operator.gt, arms, arms[1:])) and _d_parts(arms) == p.parts:
             return arms
-    raise MalformedDClass(f"{p.parts} is not a part 2a_1 - 1 and parts 4a - 2 with a_1 > a_2 > ...")
+    raise MalformedDClass(Refusal(p.parts, "is not a part 2a_1 - 1 and parts 4a - 2 with a_1 > a_2 > ..."))
 
 
 def _decode_DO(p: Partition) -> tuple[int, ...]:
@@ -70,10 +70,10 @@ def _decode_DO(p: Partition) -> tuple[int, ...]:
     fall strictly and be positive."""
     parts = p.parts
     if parts:
-        arms = ((parts[0] + 3) // 4,) + tuple((x + 1) // 4 for x in parts[1::2])
+        arms = ((parts[0] + 3) // 4, *[(x + 1) // 4 for x in parts[1::2]])
         if _do_parts(arms) == parts:
             return arms
-    raise MalformedDOClass(f"{parts} is not a part 4a_1 - 3 and pairs 4a - 1, 4a - 3")
+    raise MalformedDOClass(Refusal(parts, "is not a part 4a_1 - 3 and pairs 4a - 1, 4a - 3"))
 
 
 def phi(g: OddFerrersGraph) -> Partition:
@@ -93,14 +93,14 @@ def phi_inverse(p: Partition) -> OddFerrersGraph:
 
 def sc_to_distinct_odd(p: Partition) -> Partition:
     """Principal hook cell counts of a self-conjugate partition, as parts."""
-    return Partition._trusted(tuple(2 * a - 1 for a in hook_decompose(p)))
+    return Partition._trusted(tuple([2 * a - 1 for a in hook_decompose(p)]))
 
 
 def distinct_odd_to_sc(p: Partition) -> Partition:
     """Inverse of sc_to_distinct_odd: each distinct odd part c becomes a hook
     of arm (c+1)/2."""
     if len(set(p.parts)) != len(p.parts) or any(x % 2 == 0 for x in p.parts):
-        raise NotDistinctOdd(f"{p.parts} is not a partition into distinct odd parts")
+        raise NotDistinctOdd(Refusal(p.parts, "is not a partition into distinct odd parts"))
     return hooks_compose([(c + 1) // 2 for c in p.parts])
 
 

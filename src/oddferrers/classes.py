@@ -214,12 +214,18 @@ _CLASSES = {
 }
 
 
+def _walk(c: ClassId, n: int):
+    if type(n) is not int:  # a bool or a float would walk, or fail deep inside
+        raise TypeError(f"class index must be an int: {n!r}")
+    return _CLASSES[c][0](n) if n >= 0 else ()  # no partition has a negative weight
+
+
 def members(c: ClassId, n: int) -> list:
     """The members of class c at index n, in descending order of their parts."""
-    walk, member = _CLASSES[c]
-    return [member(x) for x in sorted(walk(n), reverse=True)]
+    member = _CLASSES[c][1]
+    return [member(x) for x in sorted(_walk(c, n), reverse=True)]
 
 
 def count(c: ClassId, n: int) -> int:
     """Class cardinality at index n, without materializing the sorted list."""
-    return sum(1 for _ in _CLASSES[c][0](n))
+    return sum(1 for _ in _walk(c, n))

@@ -18,6 +18,8 @@ class OddFerrersGraph:
     shape: Partition
 
     def __post_init__(self):
+        if not isinstance(self.shape, Partition):
+            raise TypeError(f"shape must be a Partition: {self.shape!r}")
         if not self.shape.parts:
             raise ValueError("odd Ferrers graph shape must be nonempty")
 

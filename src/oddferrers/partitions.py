@@ -5,7 +5,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidHookList, NotSelfConjugate, TooLarge
+from .errors import InvalidHookList, NotSelfConjugate, Refusal, TooLarge
 
 # the most cells a composed shape may have; `hooks_compose` refuses more
 # before it builds a row, and the CLI's `render` refuses a larger shape
@@ -64,34 +64,35 @@ def _columns(rows: Sequence[int], start: int) -> list[int]:
     return cols
 
 
-def is_self_conjugate(p: Partition) -> bool:
-    """Row i equals column i for every i inside the Durfee square, the
-    Frobenius test: O(d) for a square of side d, no column is built."""
-    parts = p.parts
+def _hook_arms(parts: tuple[int, ...]) -> list[int] | None:
+    """Principal hook arms, outermost first, read in the Frobenius test of row i
+    against column i in the Durfee square of side d: O(d), None if one differs."""
     k = len(parts)
     # the first row and the first column have equal length, so no row is
     # longer than the partition has rows and every index below is in range
     if parts and parts[0] != k:
-        return False
+        return None
+    arms = []
     for i, r in enumerate(parts):
         if r <= i:
             break
         # column i has r cells: row r-1 reaches past i and row r does not
         if parts[r - 1] <= i or (r < k and parts[r] > i):
-            return False
-    return True
+            return None
+        arms.append(r - i)
+    return arms
+
+
+def is_self_conjugate(p: Partition) -> bool:
+    """Row i equals column i for every i inside the Durfee square."""
+    return _hook_arms(p.parts) is not None
 
 
 def hook_decompose(p: Partition) -> tuple[int, ...]:
     """Arms of the principal hooks of a self-conjugate partition, outermost
     first. A hook of arm a is a, 1, 1, ..., 1 as a partition: 2a - 1 cells."""
-    if not is_self_conjugate(p):
-        raise NotSelfConjugate(f"{p.parts} is not self-conjugate")
-    arms = []
-    for i, part in enumerate(p.parts):
-        if part <= i:
-            break
-        arms.append(part - i)
+    if (arms := _hook_arms(p.parts)) is None:
+        raise NotSelfConjugate(Refusal(p.parts, "is not self-conjugate"))
     return tuple(arms)
 
 

@@ -68,16 +68,23 @@ ROWS = [
     Row("map phi --input ' '", 2, err="error: empty partition"),
     Row("render --shape ' '", 2, err="error: empty partition"),
 
-    # a non-member exits 1 with its error class
-    Row("map phi --input 3,1", 1, err="NotSelfConjugate"),
-    Row("map phi-inverse --input 4,4,2,2", 1, err="MalformedSClass"),
-    Row("map phi-inverse --input 2,1", 1, err="MalformedSClass"),
-    *(Row(f"map do-to-d --input {text}", 1, err="MalformedDOClass") for text in ("13,7,1", "7,5,3", "8,6,4")),
+    # a non-member exits 1 with one stderr line: its error class, its parts
+    # and the class it is not in
+    Row("map phi --input 3,1", 1, err="NotSelfConjugate: (3, 1) is not self-conjugate\n"),
+    *(Row(f"map phi-inverse --input {text}", 1,
+          err=f"MalformedSClass: {parts} does not have hook arms 2a_1 - 1 and pairs 2a, 2a - 1\n")
+      for text, parts in (("4,4,2,2", "(4, 4, 2, 2)"), ("2,1", "(2, 1)"))),
+    *(Row(f"map do-to-d --input {text}", 1,
+          err=f"MalformedDOClass: {parts} is not a part 4a_1 - 3 and pairs 4a - 1, 4a - 3\n")
+      for text, parts in (("13,7,1", "(13, 7, 1)"), ("7,5,3", "(7, 5, 3)"), ("8,6,4", "(8, 6, 4)"))),
     # 10,3 lays out D's arms (2, 3), which rise
-    Row("map d-to-o --input 10,3", 1, err="MalformedDClass"),
-    Row("map d-to-do --input 10,3", 1, err="MalformedDClass"),
+    *(Row(f"map {name} --input 10,3", 1,
+          err="MalformedDClass: (10, 3) is not a part 2a_1 - 1 and parts 4a - 2 with a_1 > a_2 > ...\n")
+      for name in ("d-to-o", "d-to-do")),
+    Row("map distinct-odd-to-sc --input 9,9", 1,
+        err="NotDistinctOdd: (9, 9) is not a partition into distinct odd parts\n"),
     # refused on its first row alone, before any column of it is built
-    *(Row(f"map {name} --input 100000000", 1, err="NotSelfConjugate")
+    *(Row(f"map {name} --input 100000000", 1, err="NotSelfConjugate: (100000000,) is not self-conjugate\n")
       for name in ("phi", "phi-inverse", "o-to-d", "sc-to-distinct-odd")),
 
     # one odd part c composes a hook of c cells, refused over 10^6 before

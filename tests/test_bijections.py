@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from oddferrers.bijections import (
@@ -299,3 +301,22 @@ def test_maps_are_total():
                 if not (in_target(y) and inverse(y) == x):
                     violations.append((fn.__name__, parts))
     assert not violations, f"{len(violations)} violations, the first: {violations[:10]}"
+
+
+# a map and an input that it refuses, one for each error that names its input
+REFUSALS = [
+    (phi, G(3, 1), NotSelfConjugate),
+    (phi_inverse, P(4, 4, 2, 2), MalformedSClass),
+    (d_to_o, P(10, 3), MalformedDClass),
+    (do_to_d, P(8, 6, 4), MalformedDOClass),
+    (distinct_odd_to_sc, P(9, 9), NotDistinctOdd),
+]
+
+
+@pytest.mark.parametrize("fn, x, error", REFUSALS, ids=[error.__name__ for _, _, error in REFUSALS])
+def test_refusal_survives_pickle(fn, x, error):
+    with pytest.raises(error) as info:
+        fn(x)
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert type(copy) is error
+    assert str(copy) == str(info.value)

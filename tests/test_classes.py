@@ -248,8 +248,18 @@ class TestCount:
 
     @pytest.mark.parametrize("c", list(ClassId))
     def test_count_matches_enumeration_length(self, c):
-        for n in range(12):
+        # no partition has a negative weight, as nu_series(-1) has no term
+        for n in range(-3, 31):
             assert count(c, n) == len(members(c, n))
+        assert count(c, -1) == 0 and members(c, -1) == []
+
+    @pytest.mark.parametrize("c", list(ClassId))
+    @pytest.mark.parametrize("n", [True, 2.0, "3", None])
+    def test_index_that_is_not_an_int_is_refused(self, c, n):
+        with pytest.raises(TypeError, match="class index must be an int"):
+            count(c, n)
+        with pytest.raises(TypeError, match="class index must be an int"):
+            members(c, n)
 
 
 def _package_imports(module_name):

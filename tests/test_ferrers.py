@@ -37,6 +37,12 @@ def test_empty_shape_rejected():
         OddFerrersGraph(Partition())
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 2), [3, 3, 2], None])
+def test_shape_that_is_not_a_partition_is_refused(shape):
+    with pytest.raises(TypeError, match="shape must be a Partition"):
+        OddFerrersGraph(shape)
+
+
 class TestValue:
     """OddFerrersGraph is a frozen, slotted dataclass over a Partition that
     the package may have built without the check."""
