@@ -22,7 +22,7 @@ import operator
 
 from .errors import MalformedDClass, MalformedDOClass, MalformedSClass, NotDistinctOdd, Refusal
 from .ferrers import OddFerrersGraph
-from .partitions import Partition, hook_decompose, hooks_compose
+from .partitions import Partition, _compose, hook_decompose
 
 
 def _s_hooks(arms: tuple[int, ...]) -> tuple[int, ...]:
@@ -83,12 +83,12 @@ def phi(g: OddFerrersGraph) -> Partition:
     The outermost weighted hook sum s1 becomes a hook of 2*s1 - 1 cells; every
     interior hook sum s becomes a pair of hooks with s+1 and s-1 cells.
     """
-    return hooks_compose(_s_hooks(hook_decompose(g.shape)))
+    return _compose(_s_hooks(hook_decompose(g.shape)))
 
 
 def phi_inverse(p: Partition) -> OddFerrersGraph:
     """Explicit inverse of phi."""
-    return OddFerrersGraph(hooks_compose(_decode_S(p)))
+    return OddFerrersGraph._trusted(_compose(_decode_S(p)))
 
 
 def sc_to_distinct_odd(p: Partition) -> Partition:
@@ -101,7 +101,7 @@ def distinct_odd_to_sc(p: Partition) -> Partition:
     of arm (c+1)/2."""
     if len(set(p.parts)) != len(p.parts) or any(x % 2 == 0 for x in p.parts):
         raise NotDistinctOdd(Refusal(p.parts, "is not a partition into distinct odd parts"))
-    return hooks_compose([(c + 1) // 2 for c in p.parts])
+    return _compose([(c + 1) // 2 for c in p.parts])
 
 
 def o_to_d(g: OddFerrersGraph) -> Partition:
@@ -112,7 +112,7 @@ def o_to_d(g: OddFerrersGraph) -> Partition:
 def d_to_o(p: Partition) -> OddFerrersGraph:
     """Inverse of o_to_d: the odd part w gives the border arm (w+1)/2, each
     even part e an interior arm (e+2)/4."""
-    return OddFerrersGraph(hooks_compose(_decode_D(p)))
+    return OddFerrersGraph._trusted(_compose(_decode_D(p)))
 
 
 def d_to_do(p: Partition) -> Partition:

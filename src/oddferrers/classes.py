@@ -207,7 +207,7 @@ def _iter_DO_parts(n: int) -> Iterator[tuple[int, ...]]:
 # never prefixes of one another, so the first arm that differs decides the
 # first row that differs. So O composes each member once, after the sort.
 _CLASSES = {
-    ClassId.O: (_iter_O_arms, lambda arms: OddFerrersGraph(hooks_compose(arms))),
+    ClassId.O: (_iter_O_arms, lambda arms: OddFerrersGraph._trusted(hooks_compose(arms))),
     ClassId.S: (_iter_S_parts, Partition),
     ClassId.D: (_iter_D_parts, Partition),
     ClassId.DO: (_iter_DO_parts, Partition),

@@ -17,6 +17,13 @@ class OddFerrersGraph:
 
     shape: Partition
 
+    @staticmethod
+    def _trusted(shape: Partition) -> OddFerrersGraph:
+        """A graph built without the check, for a nonempty shape this package just built."""
+        g = object.__new__(OddFerrersGraph)
+        OddFerrersGraph.shape.__set__(g, shape)
+        return g
+
     def __post_init__(self):
         if not isinstance(self.shape, Partition):
             raise TypeError(f"shape must be a Partition: {self.shape!r}")

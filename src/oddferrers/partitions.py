@@ -18,12 +18,12 @@ class Partition:
 
     parts: tuple[int, ...] = ()
 
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> Partition:
+    @staticmethod
+    def _trusted(parts: tuple[int, ...]) -> Partition:
         """A partition built without the check. Use it only on parts laid out
         in this package from an arm tuple that has passed its check."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "parts", parts)
+        p = object.__new__(Partition)
+        Partition.parts.__set__(p, parts)  # the slot itself, past the frozen __setattr__
         return p
 
     def __post_init__(self):
@@ -44,24 +44,6 @@ class Partition:
     @property
     def weight(self) -> int:
         return sum(self.parts)
-
-
-def _columns(rows: Sequence[int], start: int) -> list[int]:
-    """Column lengths start, start + 1, ..., rows[0] - 1 of the diagram with the
-    given nonincreasing rows: column c is the number of rows longer than c.
-
-    Columns rows[k] .. rows[k-1] - 1 all have length k, so each run is built
-    in one step, from the last row up: the cost is O(len(rows)) Python steps
-    and O(rows[0] - start) list cells, not one step per column or per cell.
-    """
-    cols = []
-    prev = start
-    for k in range(len(rows), 0, -1):
-        r = rows[k - 1]
-        if r > prev:
-            cols += [k] * (r - prev)
-            prev = r
-    return cols
 
 
 def _hook_arms(parts: tuple[int, ...]) -> list[int] | None:
@@ -99,16 +81,26 @@ def hook_decompose(p: Partition) -> tuple[int, ...]:
 def hooks_compose(arms: Sequence[int]) -> Partition:
     """The unique self-conjugate partition whose principal hooks have these
     arms, which must be positive and strictly decreasing."""
-    if not arms:
-        return Partition()
-    if not (arms[-1] >= 1 and all(map(operator.gt, arms, arms[1:]))):
+    if arms and not (arms[-1] >= 1 and all(map(operator.gt, arms, arms[1:]))):
         raise InvalidHookList(f"hook arms not strictly decreasing positive integers: {tuple(arms)}")
-    cells = 2 * sum(arms) - len(arms)  # counted before any row is built
+    return _compose(arms)
+
+
+def _compose(arms: Sequence[int]) -> Partition:
+    """`hooks_compose` without the arm check, for arms already checked; the cell cap holds."""
+    d = len(arms)
+    cells = 2 * sum(arms) - d  # counted before any row is built
     if cells > MAX_CELLS:
         raise TooLarge(f"the composed shape would have {cells} cells, "
                        f"more than the {MAX_CELLS} allowed")
-    # rows of the Durfee square are a_i + i; by self-conjugacy the rows below
-    # it are the square rows' columns from d on
-    rows = [a + i for i, a in enumerate(arms)]
-    rows += _columns(rows, len(arms))
+    # rows of the Durfee square are a_i + i, and by self-conjugacy the rows
+    # below it are their columns from d on; columns rows[k] .. rows[k-1] - 1
+    # all have length k, so each run is one step: O(d) steps, not one per cell
+    rows = list(map(operator.add, arms, range(d)))
+    prev = d
+    for k in range(d, 0, -1):
+        r = rows[k - 1]
+        if r > prev:
+            rows += [k] * (r - prev)
+            prev = r
     return Partition._trusted(tuple(rows))

@@ -27,6 +27,7 @@ from oddferrers.errors import (
     NotDistinctOdd,
     NotSelfConjugate,
     OddFerrersError,
+    TooLarge,
 )
 from oddferrers.ferrers import OddFerrersGraph, graph_weight
 from oddferrers.partitions import Partition, is_self_conjugate
@@ -57,6 +58,12 @@ class TestPhi:
     def test_rejects_non_self_conjugate(self):
         with pytest.raises(NotSelfConjugate):
             phi(G(7, 4, 2, 1))
+
+    def test_refuses_a_shape_over_the_cap(self):
+        # the 501 x 501 square has arms 501 .. 1, laid out as S's hook arms
+        # 1001 and the pairs 2a, 2a - 1: 2 * 501501 - 1001 cells
+        with pytest.raises(TooLarge, match="^the composed shape would have 1002001 cells, more than"):
+            phi(G(*[501] * 501))
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_well_defined(self, n):
@@ -221,12 +228,15 @@ def members_to_trusted_n():
 
 
 # each map that lays its output out from checked arms without Partition's
-# check, and the class whose members it takes
+# check, and the class whose members it takes; "hooks_compose" names the
+# layout, which the maps reach through its unchecked half `_compose`. The
+# three that return a graph also wrap the shape without OddFerrersGraph's
+# check (`OddFerrersGraph._trusted`), so they are judged on the graph
 TRUSTED_SITES = {
-    "hooks_compose in members(O)": (ClassId.O, lambda g: g.shape),
+    "hooks_compose in members(O)": (ClassId.O, lambda g: g),
     "hooks_compose in phi": (ClassId.O, phi),
-    "hooks_compose in phi_inverse": (ClassId.S, lambda p: phi_inverse(p).shape),
-    "hooks_compose in d_to_o": (ClassId.D, lambda p: d_to_o(p).shape),
+    "hooks_compose in phi_inverse": (ClassId.S, phi_inverse),
+    "hooks_compose in d_to_o": (ClassId.D, d_to_o),
     "hooks_compose in distinct_odd_to_sc": (
         ClassId.S, lambda p: distinct_odd_to_sc(sc_to_distinct_odd(p))),
     "o_to_d": (ClassId.O, o_to_d),
@@ -238,12 +248,16 @@ TRUSTED_SITES = {
 
 @pytest.mark.parametrize("site", list(TRUSTED_SITES))
 def test_trusted_sites_give_valid_partitions(site, members_to_trusted_n):
-    """Judged here and not by Partition, which these sites skip: the parts
-    are a tuple of ints >= 1 that weakly fall, for every member with
-    n <= TRUSTED_N."""
+    """Judged here and not by Partition or OddFerrersGraph, which these sites
+    skip: a graph's shape is a nonempty Partition, and the parts are a tuple
+    of ints >= 1 that weakly fall, for every member with n <= TRUSTED_N."""
     c, fn = TRUSTED_SITES[site]
     for m in members_to_trusted_n[c]:
-        parts = fn(m).parts
+        out = fn(m)
+        if isinstance(out, OddFerrersGraph):
+            assert type(out.shape) is Partition and out.shape.parts, (site, m)
+            out = out.shape
+        parts = out.parts
         assert type(parts) is tuple, (site, m)
         assert all(type(x) is int and x >= 1 for x in parts), (site, m)
         assert all(a >= b for a, b in zip(parts, parts[1:])), (site, m)

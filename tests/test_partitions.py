@@ -12,7 +12,7 @@ from oddferrers.errors import InvalidHookList, NotSelfConjugate, TooLarge
 from oddferrers.partitions import (
     MAX_CELLS,
     Partition,
-    _columns,
+    _compose,
     hook_decompose,
     hooks_compose,
     is_self_conjugate,
@@ -165,6 +165,12 @@ class TestHooksCompose:
         assert all(c % 2 == 1 for c in sizes)
         assert all(a - b >= 2 for a, b in zip(sizes, sizes[1:]))
 
+    @given(arm_sets)
+    def test_unchecked_layout_equals_the_checked_entry(self, arms):
+        arms = sorted(arms, reverse=True)
+        assert _compose(arms) == hooks_compose(arms)
+        assert _compose(arms).parts == oracles.sc_from_distinct_odd_cells([2 * a - 1 for a in arms])
+
     def test_a_shape_of_exactly_the_cap_is_composed(self):
         # 2 * (250001 + 250000) - 2 cells
         assert hooks_compose((250001, 250000)).weight == MAX_CELLS == 10**6
@@ -202,10 +208,13 @@ def test_conjugate_and_self_conjugacy_match_cell_oracle_up_to_weight_20():
         for parts in oracles.all_partitions_of(w):
             p = Partition(parts)
             assert is_self_conjugate(p) == oracles.is_sc(parts)
-            if parts:
-                columns = oracles.transpose_cells(parts)
-                for s in range(parts[0] + 1):
-                    assert _columns(parts, s) == list(columns[s:])
+            # the d rows of any partition's Durfee square are a_i + i for
+            # positive, strictly falling arms a, and the layout puts their
+            # columns from d on below them
+            d = sum(r > i for i, r in enumerate(parts))
+            square = parts[:d]
+            arms = [r - i for i, r in enumerate(square)]
+            assert _compose(arms).parts == square + oracles.transpose_cells(square)[d:]
 
 
 def test_hook_layout_oracle_matches_cell_peeling_up_to_weight_40():
