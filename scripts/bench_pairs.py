@@ -2,14 +2,15 @@
 """Alternated benchmark pairs of a parent commit and the working tree, run
 from the root of a checkout:
 
-    python3 scripts/bench_pairs.py --parent REV --out BENCH_<pr>.json [--pairs 10] [--seconds 30]
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_<pr>.json
 
-The parent is exported with `git archive` into a temporary directory. For
-each workload of BENCHMARK.json, in its order, seed k (1..pairs) runs
-`perfbench/run.py --trace 0` once on each tree, one run at a time: the
-parent first at odd seeds, the working tree first at even seeds. Then seed
-pairs + 1, which no timed pair used, runs once traced on each tree, and its
-nonzero per-layer metrics are kept.
+The parent is exported with `git archive | tar -x` into a temporary
+directory. For each workload of BENCHMARK.json, in its order, seed k
+(1..10) runs `perfbench/run.py --trace 0` for BENCHMARK.json's
+run_seconds once on each tree, one run at a time: the parent first at odd
+seeds, the working tree first at even seeds. Then seed 11, which no timed
+pair used, runs once traced on each tree, and its nonzero per-layer
+metrics are kept.
 
 The output holds every run's JSON line and, per workload and end-to-end
 metric, each side's quartiles (inclusive method), the ratio of the medians
@@ -20,18 +21,17 @@ the script with exit code 1, and no file is written.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 TRACE_SECONDS = 10
 
 
@@ -70,36 +70,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="seconds per run; BENCHMARK.json's run_seconds by default")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, to give quartiles")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     end_to_end = {m["name"] for m in bench["end_to_end"]}
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                                 capture_output=True, text=True).stdout.strip()
     archive = subprocess.run(["git", "archive", "--format=tar", parent_rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
-    trace_seed = args.pairs + 1
+    trace_seed = PAIRS + 1
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0",
         "host": f"{len(os.sched_getaffinity(0))}-core {platform.machine()} host, Python {platform.python_version()}",
-        "order": f"seeds 1-{args.pairs} per workload, workloads in the order "
+        "order": f"seeds 1-{PAIRS} per workload, workloads in the order "
                  f"{', '.join(w['name'] for w in bench['workloads'])}; parent first at odd seeds, "
                  "change first at even seeds; one run at a time",
         "parent": parent_rev,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"parent": Path(tmp), "change": ROOT}
         for workload in (w["name"] for w in bench["workloads"]):
             runs = {"parent": [], "change": []}
-            for seed in range(1, args.pairs + 1):
+            for seed in range(1, PAIRS + 1):
                 for side in ("parent", "change") if seed % 2 else ("change", "parent"):
                     result = run_once(trees[side], workload, seed, seconds, 0)
                     runs[side].append({"seed": seed, "result": result})

@@ -7,8 +7,8 @@ from typing import Sequence
 
 from .errors import InvalidHookList, NotSelfConjugate, Refusal, TooLarge
 
-# the most cells a composed shape may have; `hooks_compose` refuses more
-# before it builds a row, and the CLI's `render` refuses a larger shape
+# the most cells a composed shape may have: `_compose`, under `hooks_compose`
+# and the maps, refuses more before any row; the CLI's `render` refuses more
 MAX_CELLS = 10**6
 
 
