@@ -4,7 +4,7 @@ S (self-conjugate partitions of 4n+1 into odd parts),
 D (distinct parts, one dominant odd part, evens of the form 4k+2, weight 2n+1),
 DO (distinct odd parts in consecutive 4k+3/4k+1 pairs under a 4k+1 head,
 weight 4n+1). A walk yields its class in the order it finds it; only
-`members` sorts."""
+`members` lays out and sorts."""
 from __future__ import annotations
 
 from enum import Enum
@@ -143,7 +143,7 @@ def _iter_S_parts(n: int) -> Iterator[tuple[int, ...]]:
         remaining, below, arms = stack.pop()
         if remaining == 0:
             parts = hooks_compose(arms).parts
-            if all(x & 1 for x in parts):
+            if not [x for x in parts if not x & 1]:  # one C-level pass over the rows
                 yield parts
             continue
         cmax = (remaining + 2) // 2  # rule 3
@@ -167,7 +167,7 @@ def _iter_D_parts(n: int) -> Iterator[tuple[int, ...]]:
     stack = [(2 * n + 1, 0, ())]
     while stack:
         remaining, below, evens = stack.pop()
-        yield tuple(sorted(evens + (remaining,), reverse=True))
+        yield evens + (remaining,)  # unsorted: only `members` needs the order
         if evens:
             emax = min(below - 4, remaining - evens[0] // 2 - 1)
         else:
@@ -223,7 +223,10 @@ def _walk(c: ClassId, n: int):
 def members(c: ClassId, n: int) -> list:
     """The members of class c at index n, in descending order of their parts."""
     member = _CLASSES[c][1]
-    return [member(x) for x in sorted(_walk(c, n), reverse=True)]
+    items = _walk(c, n)
+    if c is ClassId.D:  # its walk yields the odd part after the evens
+        items = [tuple(sorted(x, reverse=True)) for x in items]
+    return [member(x) for x in sorted(items, reverse=True)]
 
 
 def count(c: ClassId, n: int) -> int:

@@ -80,16 +80,19 @@ def hook_decompose(p: Partition) -> tuple[int, ...]:
 
 def hooks_compose(arms: Sequence[int]) -> Partition:
     """The unique self-conjugate partition whose principal hooks have these
-    arms, which must be positive and strictly decreasing."""
+    arms, which must be positive, strictly decreasing ints."""
     if arms and not (arms[-1] >= 1 and all(map(operator.gt, arms, arms[1:]))):
         raise InvalidHookList(f"hook arms not strictly decreasing positive integers: {tuple(arms)}")
     return _compose(arms)
 
 
 def _compose(arms: Sequence[int]) -> Partition:
-    """`hooks_compose` without the arm check, for arms already checked; the cell cap holds."""
+    """`hooks_compose` without the order check, for arms already checked; the
+    type test and the cell cap hold."""
     d = len(arms)
     cells = 2 * sum(arms) - d  # counted before any row is built
+    if type(cells) is not int:  # a float, Fraction or Decimal arm; a bool adds as an int
+        raise TypeError(f"hook arms must be ints: {tuple(arms)}")
     if cells > MAX_CELLS:
         raise TooLarge(f"the composed shape would have {cells} cells, "
                        f"more than the {MAX_CELLS} allowed")

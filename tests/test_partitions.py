@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import pickle
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,19 @@ class TestHooksCompose:
         arms = sorted(arms, reverse=True)
         assert _compose(arms) == hooks_compose(arms)
         assert _compose(arms).parts == oracles.sc_from_distinct_odd_cells([2 * a - 1 for a in arms])
+
+    @pytest.mark.parametrize("arms", [[1.0], [2.5], [3, 1.0], [Fraction(1)], [Decimal(3), Decimal(1)]],
+                             ids=["1.0", "2.5", "3,1.0", "Fraction", "Decimal"])
+    def test_refuses_arms_that_are_not_ints(self, arms):
+        # the arm check tests order and sign, not type: one type test on the
+        # cell count keeps a non-int arm from laying out a non-int part
+        with pytest.raises(TypeError, match="hook arms must be ints"):
+            hooks_compose(arms)
+
+    def test_bool_arms_compose_to_int_rows(self):
+        # True adds as 1, so a bool arm gives int rows and needs no per-arm test
+        p = hooks_compose([3, True])
+        assert p == Partition((3, 2, 1)) and {*map(type, p.parts)} == {int}
 
     def test_a_shape_of_exactly_the_cap_is_composed(self):
         # 2 * (250001 + 250000) - 2 cells
