@@ -5,7 +5,8 @@ from the root of a checkout:
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<pr>.json
 
 The parent is exported with `git archive | tar -x` into a temporary
-directory. For each workload of BENCHMARK.json, in its order, seed k
+directory, and the working tree is copied beside it without `.git` and
+`__pycache__`, so neither side starts with compiled sources. For each workload of BENCHMARK.json, in its order, seed k
 (1..10) runs `perfbench/run.py --trace 0` for BENCHMARK.json's
 run_seconds once on each tree, one run at a time: the parent first at odd
 seeds, the working tree first at even seeds. Then seed 11, which no timed
@@ -24,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -89,8 +91,12 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        trees["parent"].mkdir()
+        subprocess.run(["tar", "-x", "-C", trees["parent"]], input=archive, check=True)
+        # a copy without the .pyc files that the working tree's own test runs
+        # left, which the export of the parent never has
+        shutil.copytree(ROOT, trees["change"], ignore=shutil.ignore_patterns(".git", "__pycache__"))
         for workload in (w["name"] for w in bench["workloads"]):
             runs = {"parent": [], "change": []}
             for seed in range(1, PAIRS + 1):

@@ -67,9 +67,10 @@ def _decode_D(p: Partition) -> tuple[int, ...]:
 
 def _decode_DO(p: Partition) -> tuple[int, ...]:
     """The parts fall weakly and are positive, so equality forces the arms to
-    fall strictly and be positive."""
+    fall strictly and be positive. A member has an odd number of parts and
+    ends in 4a - 3, so any other input is refused before its layout."""
     parts = p.parts
-    if parts:
+    if len(parts) % 2 and parts[-1] % 4 == 1:
         arms = ((parts[0] + 3) // 4, *[(x + 1) // 4 for x in parts[1::2]])
         if _do_parts(arms) == parts:
             return arms

@@ -205,6 +205,17 @@ class TestDDOBijection:
         with pytest.raises(MalformedDOClass):
             do_to_d(P(8, 6, 4))  # even parts
 
+    @pytest.mark.parametrize("parts", [(), (5, 3), (7, 3, 3)])
+    def test_refuses_before_the_layout(self, monkeypatch, parts):
+        # an even part count, or a last part that is not 4a - 3, is no member
+        def laid_out(arms):
+            raise AssertionError(f"arms {arms} were laid out")
+
+        monkeypatch.setattr("oddferrers.bijections._do_parts", laid_out)
+        with pytest.raises(MalformedDOClass) as info:
+            do_to_d(P(*parts))
+        assert str(info.value) == f"{parts} is not a part 4a_1 - 3 and pairs 4a - 1, 4a - 3"
+
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_N + 1))
     def test_bijectivity(self, n):
         image = sorted(d_to_do(p).parts for p in members(ClassId.D, n))

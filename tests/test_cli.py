@@ -10,13 +10,14 @@ import oddferrers.bijections
 import oddferrers.classes
 import oddferrers.cli
 import oddferrers.qseries
-from oddferrers.classes import ClassId, count
+from oddferrers.classes import ClassId, count, members
 from oddferrers.cli import main
 from oddferrers.errors import MalformedSClass
 from oddferrers.partitions import Partition
 from oddferrers.qseries import nu_series
 
 import cli_contract
+import oracles
 
 
 def run(capsys, *argv):
@@ -51,6 +52,14 @@ class TestCount:
         assert lines[100] == "100\t13396"
         assert {count(c, 100) for c in (ClassId.O, ClassId.D, ClassId.DO)} == {13396}
 
+    @pytest.mark.parametrize("max_n", [0, 1, 2, 5, 6, 11, 12, 200])
+    def test_pnu_lines_are_the_naive_series(self, capsys, max_n):
+        # the orders n(n+1) and their neighbours are where the expansion
+        # gains or loses a level
+        lines = [f"{n}\t{c}\n" for n, c in enumerate(oracles.naive_nu_minus_q(max_n))]
+        assert run(capsys, "count", "--class", "pnu", "--max-n", str(max_n)) == (0, "".join(lines), "")
+        assert run(capsys, "count", "--class", "pnu", "--n", str(max_n)) == (0, lines[-1], "")
+
     def test_bad_class(self):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--class", "X", "--n", "0"])
@@ -74,6 +83,10 @@ class TestEnumerate:
     def test_s5_contains_worked_example(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--class", "S", "--n", "5")
         assert code == 0 and "5,5,5,3,3" in out.splitlines()
+
+    def test_text_is_one_line_per_member(self, capsys):
+        rows = "".join(",".join(map(str, p.parts)) + "\n" for p in members(ClassId.S, 12))
+        assert run(capsys, "enumerate", "--class", "S", "--n", "12") == (0, rows, "")
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--class", "S", "--n", "1",
@@ -160,6 +173,30 @@ class TestRender:
         assert out == "1" * 999999 + "\n1\n"
 
 
+class _RecordedStdout:
+    """A stdout that keeps the lines of each write or writelines call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append([text])
+
+    def writelines(self, lines):
+        self.calls.append(list(lines))
+
+
+@pytest.mark.parametrize("argv, lines", [
+    ("count --class pnu --max-n 600", 601),
+    ("enumerate --class S --n 12", len(members(ClassId.S, 12))),
+], ids=["pnu", "enumerate"])
+def test_a_table_in_memory_is_written_in_one_call(monkeypatch, argv, lines):
+    stdout = _RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv.split()) == 0
+    assert [len(call) for call in stdout.calls] == [lines]
+
+
 def test_library_error_exits_1_with_its_class_name(capsys, monkeypatch):
     def refuse(g):
         raise MalformedSClass("refused")
@@ -183,8 +220,8 @@ _CLASS_WALKS = [
 _CLASS_WALK_IDS = ["count-n", "count-max-n", "enumerate", "verify-roundtrips"]
 
 
-def _walk_refused(n):
-    raise AssertionError(f"a class was walked to {n}")
+def _walk_refused(c, n):
+    raise AssertionError(f"class {c.value} was walked to {n}")
 
 
 @pytest.mark.parametrize("row", [r for r in cli_contract.ROWS if not r.slow],
@@ -193,7 +230,7 @@ def test_cli_contract(capsys, monkeypatch, row):
     if row.code != 0:
         # a walk or an expansion, or a list of a gigabyte, that came before a
         # refusal must fail here, not run
-        monkeypatch.setattr(oddferrers.classes, "_CLASSES", {c: (_walk_refused, None) for c in ClassId})
+        monkeypatch.setattr(oddferrers.classes, "_walk", _walk_refused)
         monkeypatch.setattr(oddferrers.qseries, "nu_series", _expansion_refused)
         tracemalloc.start()
     try:
@@ -212,11 +249,11 @@ def test_cli_contract(capsys, monkeypatch, row):
 def test_class_index_at_cap_is_walked(capsys, monkeypatch, argv):
     walked = []
 
-    def walk(n):
+    def walk(c, n):
         walked.append(n)
         return iter(())
 
-    monkeypatch.setattr(oddferrers.classes, "_CLASSES", {c: (walk, None) for c in ClassId})
+    monkeypatch.setattr(oddferrers.classes, "_walk", walk)
     cap = oddferrers.cli.MAX_CLASS_N
     code, _, err = run(capsys, *argv, str(cap))
     assert (code, err) == (0, "")
@@ -225,7 +262,7 @@ def test_class_index_at_cap_is_walked(capsys, monkeypatch, argv):
 
 def test_verify_series_walks_no_class(capsys, monkeypatch):
     # counts already compares every class count with the same coefficients
-    monkeypatch.setattr(oddferrers.classes, "_CLASSES", {c: (_walk_refused, None) for c in ClassId})
+    monkeypatch.setattr(oddferrers.classes, "_walk", _walk_refused)
     code, out, err = run(capsys, "verify", "--checks", "series", "--max-n", "40")
     assert (code, err) == (0, "")
     assert out.splitlines() == ["# series 0..40", *(f"{n}\tPASS" for n in range(41))]
