@@ -215,6 +215,8 @@ _CLASSES = {
 
 
 def _walk(c: ClassId, n: int):
+    if type(c) is not ClassId:  # a name like "S" would fail as a bare KeyError
+        raise TypeError(f"class must be a ClassId: {c!r}")
     if type(n) is not int:  # a bool or a float would walk, or fail deep inside
         raise TypeError(f"class index must be an int: {n!r}")
     return _CLASSES[c][0](n) if n >= 0 else ()  # no partition has a negative weight
@@ -222,8 +224,8 @@ def _walk(c: ClassId, n: int):
 
 def members(c: ClassId, n: int) -> list:
     """The members of class c at index n, in descending order of their parts."""
-    member = _CLASSES[c][1]
     items = _walk(c, n)
+    member = _CLASSES[c][1]
     if c is ClassId.D:  # its walk yields the odd part after the evens
         items = [tuple(sorted(x, reverse=True)) for x in items]
     return [member(x) for x in sorted(items, reverse=True)]

@@ -7,9 +7,12 @@ once as a row, and the runner that checks them:
 For each row the runner copies the repo, without `.git` and `perfbench/`,
 into a temporary directory, replaces the row's old text in its file with the
 new text, and runs `python -m pytest -q -x -p no:cacheprovider tests` there
-with PYTHONPATH=src. Each run is under an address-space limit of
-CHILD_AS_KIB, so a mutant that drops a size cap fails by MemoryError
-instead of taking the host's memory. The runner exits 1 when
+with PYTHONPATH=src, ignoring `tests/test_mutant_table.py`. That test checks
+the rows against the source, so every mutated copy would fail it; tier-1
+runs it, so a stale row fails tier-1 as well as this runner. Each run is
+under an address-space limit of CHILD_AS_KIB, so a mutant that drops a size
+cap fails by MemoryError instead of taking the host's memory. The runner
+exits 1 when
 
 - a row's old text does not occur exactly once in its file, so a change to
   the source must update its rows;
@@ -41,7 +44,7 @@ class Mutant(NamedTuple):
     old: str  # must occur exactly once in the file
     new: str
     label: str  # "killed" or "equivalent"
-    why: str
+    why: str  # what the edit breaks, and the change that first recorded it
 
 
 ROWS = [
@@ -67,6 +70,44 @@ ROWS = [
     Mutant("src/oddferrers/classes.py",
            "xmax = min(pairs[-1] - 4,", "xmax = min(pairs[-1] - 2,",
            "equivalent", "the step to 1 mod 4 below takes x - 2 down to x - 4"),
+    Mutant("src/oddferrers/bijections.py", "hooks = [2 * arms[0] - 1]", "hooks = [2 * arms[0] + 1]",
+           "killed", "S's head hook is laid out two cells long (PR 14)"),
+    Mutant("src/oddferrers/bijections.py",
+           "[4 * a - 2 for a in arms[1:]]", "[4 * a + 2 for a in arms[1:]]",
+           "killed", "D's even parts are laid out 4 too large (PR 14)"),
+    Mutant("src/oddferrers/bijections.py",
+           "parts += (4 * a - 1, 4 * a - 3)", "parts += (4 * a + 1, 4 * a - 1)",
+           "killed", "DO's pairs are laid out 2 too large (PR 14)"),
+    Mutant("src/oddferrers/bijections.py", "if all(map(operator.gt, arms, arms[1:])) and ", "if ",
+           "killed", "_decode_D accepts 10,3, whose arms (2, 3) rise (PR 14)"),
+    Mutant("src/oddferrers/bijections.py", "x // 2 for x in hooks[1::2]", "x // 2 for x in hooks[2::2]",
+           "killed", "_decode_S reads each pair's arm from the wrong hook"),
+    Mutant("src/oddferrers/bijections.py",
+           "[2 * a - 1 for a in hook_decompose(p)]", "[2 * a + 1 for a in hook_decompose(p)]",
+           "killed", "sc_to_distinct_odd counts each hook two cells long"),
+    Mutant("src/oddferrers/classes.py", "amax = head // 3", "amax = head // 3 + 1",
+           "killed", "O's walk enters a second arm too large for the head (PR 15)"),
+    Mutant("src/oddferrers/classes.py", "(head - arms[0]) // 2)", "(head - arms[0]) // 2 - 1)",
+           "killed", "O's walk skips the largest arm below the second (PR 15)"),
+    Mutant("src/oddferrers/classes.py", "xmax = (head - 5) // 3", "xmax = (head - 1) // 3",
+           "killed", "DO's walk enters a first pair too large for the head (PR 15)"),
+    Mutant("src/oddferrers/classes.py",
+           "isqrt(4 * remaining - 1) - 1, -4)", "isqrt(4 * remaining) - 1, -4)",
+           "killed", "the S walk drops the pair c = 2k - 1 when k^2 is left (PR 18)"),
+    Mutant("src/oddferrers/classes.py",
+           "emax = (2 * remaining - 1) // 3", "emax = (2 * remaining - 1) // 3 - 4",
+           "killed", "D's walk starts its first even part one step low (PR 7)"),
+    Mutant("src/oddferrers/partitions.py", "parts[r] > i)", "parts[r] >= i)",
+           "killed", "the self-conjugacy test refuses a column that ends at its last row (PR 21)"),
+    Mutant("src/oddferrers/partitions.py",
+           "for i, r in enumerate(parts):", "for i, r in enumerate(parts[:4]):",
+           "killed", "the self-conjugacy test reads only the first four rows (PR 13)"),
+    Mutant("src/oddferrers/cli.py", "if top_n > MAX_CLASS_N:", "if top_n > MAX_CLASS_N + 1:",
+           "killed", "the CLI walks a class to one index past its cap (PR 19)"),
+    Mutant("src/oddferrers/cli.py", "return base[n] == wider[n],", "return True,",
+           "killed", "verify --checks series passes every coefficient"),
+    Mutant("src/oddferrers/cli.py", "except OddFerrersError as exc:", "except ZeroDivisionError as exc:",
+           "killed", "a non-member leaves main as a traceback, not as exit 1"),
 ]
 
 
@@ -83,18 +124,26 @@ def tier1_fails(row: Mutant, workdir: Path) -> bool:
     target.write_text(target.read_text().replace(row.old, row.new))
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--ignore=tests/test_mutant_table.py", "tests"],
         cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         preexec_fn=_limit_address_space, timeout=CHILD_TIMEOUT_S)
     return proc.returncode != 0
 
 
-def main() -> int:
+def stale_rows() -> list[str]:
+    """A line for each row whose old text does not occur exactly once in its
+    file, so that a change to the source must update its rows."""
     problems = []
     for row in ROWS:
         found = (ROOT / row.path).read_text().count(row.old)
         if found != 1:
             problems.append(f"{row.path}: {row.old!r} occurs {found} times, not once")
+    return problems
+
+
+def main() -> int:
+    problems = stale_rows()
     if problems:
         print("\n".join(problems))
         return 1

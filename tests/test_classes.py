@@ -261,6 +261,13 @@ class TestCount:
         with pytest.raises(TypeError, match="class index must be an int"):
             members(c, n)
 
+    @pytest.mark.parametrize("c", ["S", "O", None])
+    def test_class_that_is_not_a_class_id_is_refused(self, c):
+        with pytest.raises(TypeError, match="class must be a ClassId"):
+            count(c, 3)
+        with pytest.raises(TypeError, match="class must be a ClassId"):
+            members(c, 3)
+
 
 def _package_imports(module_name):
     """The oddferrers modules that `module_name` imports, read from its source."""
