@@ -7,22 +7,27 @@ import functools
 import json
 import sys
 
-from . import bijections, classes, ferrers, qseries
-from .classes import ClassId
+from . import qseries
 from .errors import OddFerrersError, TooLarge
-from .ferrers import OddFerrersGraph
-from .partitions import MAX_CELLS, Partition
 
-# map name -> (bijection, whether its input is an odd Ferrers graph)
+# Each command imports the modules it runs when it starts, so that the
+# series alone does not compile the class walks and the maps. The names
+# that argparse offers are written out here for the same reason.
+
+# the ClassId values
+_CLASS_NAMES = ("O", "S", "D", "DO")
+
+# map name -> (the bijection's name in `bijections`, whether its input is an
+# odd Ferrers graph)
 _MAPS = {
-    "phi": (bijections.phi, True),
-    "phi-inverse": (bijections.phi_inverse, False),
-    "o-to-d": (bijections.o_to_d, True),
-    "d-to-o": (bijections.d_to_o, False),
-    "d-to-do": (bijections.d_to_do, False),
-    "do-to-d": (bijections.do_to_d, False),
-    "sc-to-distinct-odd": (bijections.sc_to_distinct_odd, False),
-    "distinct-odd-to-sc": (bijections.distinct_odd_to_sc, False),
+    "phi": ("phi", True),
+    "phi-inverse": ("phi_inverse", False),
+    "o-to-d": ("o_to_d", True),
+    "d-to-o": ("d_to_o", False),
+    "d-to-do": ("d_to_do", False),
+    "do-to-d": ("do_to_d", False),
+    "sc-to-distinct-odd": ("sc_to_distinct_odd", False),
+    "distinct-odd-to-sc": ("distinct_odd_to_sc", False),
 }
 
 # nu_series divides by residue-class running sums, and its last level holds the
@@ -38,9 +43,11 @@ class _Refused(Exception):
     """An argument that `main` turns into exit 2, like a `TooLarge` input."""
 
 
-def _parse_partition(text: str) -> Partition:
-    """Comma-separated descending parts, e.g. "5,5,5,3,3". Each part is ASCII
-    digits only, optionally surrounded by whitespace."""
+def _parse_partition(text: str):
+    """A `Partition` of comma-separated descending parts, e.g. "5,5,5,3,3".
+    Each part is ASCII digits only, optionally surrounded by whitespace."""
+    from . import partitions
+
     if not text.strip():
         raise _Refused(f"empty partition is not accepted here: {text!r}")
     tokens = [tok.strip() for tok in text.split(",")]
@@ -48,13 +55,14 @@ def _parse_partition(text: str) -> Partition:
         for tok in tokens:
             if not (tok.isascii() and tok.isdigit()):
                 raise ValueError(f"part {tok!r} is not a run of digits 0-9")
-        return Partition(tuple(map(int, tokens)))
+        return partitions.Partition(tuple(map(int, tokens)))
     except ValueError as exc:
         raise _Refused(f"cannot parse partition {text!r}: {exc}") from exc
 
 
 def _parts(member) -> tuple[int, ...]:
-    return member.shape.parts if isinstance(member, OddFerrersGraph) else member.parts
+    # an OddFerrersGraph's parts are its shape's; a Partition has no shape
+    return getattr(member, "shape", member).parts
 
 
 def _text(member) -> str:
@@ -79,19 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oddferrers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    class_names = [c.value for c in ClassId]
-
     p_count = sub.add_parser("count", help="count class members")
     p_count.set_defaults(run=_cmd_count)
     p_count.add_argument("--class", dest="cls", required=True,
-                         choices=[*class_names, "pnu"])
+                         choices=[*_CLASS_NAMES, "pnu"])
     group = p_count.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int)
     group.add_argument("--max-n", type=int)
 
     p_enum = sub.add_parser("enumerate", help="list class members")
     p_enum.set_defaults(run=_cmd_enumerate)
-    p_enum.add_argument("--class", dest="cls", required=True, choices=class_names)
+    p_enum.add_argument("--class", dest="cls", required=True, choices=_CLASS_NAMES)
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -121,7 +127,9 @@ def _cmd_count(args) -> int:
         sys.stdout.writelines(f"{n}\t{series[n]}\n" for n in ns)
     else:
         _check_class_n(ns[-1])
-        cid = ClassId(args.cls)
+        from . import classes
+
+        cid = classes.ClassId(args.cls)
         for n in ns:  # one line per walk, printed as it ends
             print(f"{n}\t{classes.count(cid, n)}")
     return 0
@@ -129,7 +137,9 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     _check_class_n(args.n)
-    cid = ClassId(args.cls)
+    from . import classes
+
+    cid = classes.ClassId(args.cls)
     found = classes.members(cid, args.n)
     if args.format == "text":
         sys.stdout.writelines(f"{_text(member)}\n" for member in found)
@@ -141,22 +151,24 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_map(args) -> int:
     p = _parse_partition(args.input)
-    fn, takes_graph = _MAPS[args.name]
-    arg = OddFerrersGraph(p) if takes_graph else p
-    print(_text(fn(arg)))
+    from . import bijections, ferrers
+
+    name, takes_graph = _MAPS[args.name]
+    arg = ferrers.OddFerrersGraph(p) if takes_graph else p
+    print(_text(getattr(bijections, name)(arg)))
     return 0
 
 
-def _verify_counts(n: int, series) -> tuple[bool, str]:
-    values = {c.value: classes.count(c, n) for c in ClassId}
+def _verify_counts(n: int, series, classes) -> tuple[bool, str]:
+    values = {c.value: classes.count(c, n) for c in classes.ClassId}
     values["pnu"] = series[n]
     ok = len(set(values.values())) == 1
     detail = " ".join(f"{k}={v}" for k, v in values.items())
     return ok, detail
 
 
-def _verify_roundtrips(n: int) -> tuple[bool, str]:
-    o, s, d, do = (classes.members(c, n) for c in ClassId)
+def _verify_roundtrips(n: int, classes, bijections) -> tuple[bool, str]:
+    o, s, d, do = (classes.members(c, n) for c in classes.ClassId)
     maps = [
         ("phi", o, bijections.phi, bijections.phi_inverse, s),
         ("o_to_d", o, bijections.o_to_d, bijections.d_to_o, d),
@@ -178,6 +190,16 @@ def _verify_series(n: int, base, wider) -> tuple[bool, str]:
     return base[n] == wider[n], f"coeff={base[n]} wider={wider[n]}"
 
 
+def _counts_check(max_n: int):
+    from . import classes
+    return functools.partial(_verify_counts, series=_nu_series(max_n), classes=classes)
+
+
+def _roundtrips_check(max_n: int):
+    from . import bijections, classes
+    return functools.partial(_verify_roundtrips, classes=classes, bijections=bijections)
+
+
 def _report(name: str, max_n: int, check, failures: int) -> int:
     """Print one PASS/FAIL line per n, and the first counterexample of the
     whole run; return the failure total so far."""
@@ -192,11 +214,12 @@ def _report(name: str, max_n: int, check, failures: int) -> int:
 
 
 # verify check -> (default max-n, builds the per-n check up to a max-n), in
-# run order; counts and roundtrips walk the classes at every n, and every check
-# takes the class cap
+# run order; a builder imports the modules that its check runs, once per run
+# and not per n; counts and roundtrips walk the classes at every n, and every
+# check takes the class cap
 _CHECKS = {
-    "counts": (40, lambda max_n: functools.partial(_verify_counts, series=_nu_series(max_n))),
-    "roundtrips": (25, lambda max_n: _verify_roundtrips),
+    "counts": (40, _counts_check),
+    "roundtrips": (25, _roundtrips_check),
     "series": (40, lambda max_n: functools.partial(
         _verify_series, wider=_nu_series(max_n + 50), base=_nu_series(max_n))),
 }
@@ -214,11 +237,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     shape = _parse_partition(args.shape)
+    from . import ferrers, partitions
+
     # the ascii diagram is one character per cell
-    if shape.weight > MAX_CELLS:
-        raise _Refused(f"shape has {shape.weight} cells, more than the {MAX_CELLS} "
+    if shape.weight > partitions.MAX_CELLS:
+        raise _Refused(f"shape has {shape.weight} cells, more than the {partitions.MAX_CELLS} "
                        "that render accepts")
-    g = OddFerrersGraph(shape)
+    g = ferrers.OddFerrersGraph(shape)
     if args.format == "json":
         print(json.dumps({"shape": list(shape.parts), "weight": ferrers.graph_weight(g),
                           "row_sums": list(ferrers.row_sums(g))}))

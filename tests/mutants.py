@@ -108,6 +108,12 @@ ROWS = [
            "killed", "verify --checks series passes every coefficient"),
     Mutant("src/oddferrers/cli.py", "except OddFerrersError as exc:", "except ZeroDivisionError as exc:",
            "killed", "a non-member leaves main as a traceback, not as exit 1"),
+    Mutant("src/oddferrers/cli.py", '"counts": (40,', '"counts": (41,',
+           "killed", "a bare verify checks the counts to 41"),
+    Mutant("src/oddferrers/cli.py", '"roundtrips": (25,', '"roundtrips": (26,',
+           "killed", "a bare verify checks the roundtrips to 26"),
+    Mutant("src/oddferrers/cli.py", "from . import qseries\n", "from . import classes, qseries\n",
+           "killed", "count --class pnu imports the class walks it never runs"),
 ]
 
 

@@ -10,11 +10,10 @@ import oddferrers.bijections
 import oddferrers.classes
 import oddferrers.cli
 import oddferrers.qseries
-from oddferrers.classes import ClassId, count, members
+from oddferrers.classes import ClassId, members
 from oddferrers.cli import main
 from oddferrers.errors import MalformedSClass
 from oddferrers.partitions import Partition
-from oddferrers.qseries import nu_series
 
 import cli_contract
 import oracles
@@ -40,17 +39,6 @@ class TestCount:
         _, out_pnu, _ = run(capsys, "count", "--class", "pnu", "--max-n", "10")
         _, out_s, _ = run(capsys, "count", "--class", "S", "--max-n", "10")
         assert out_pnu == out_s
-
-    def test_pnu_to_ten_thousand(self, capsys):
-        code, out, _ = run(capsys, "count", "--class", "pnu", "--max-n", "10000")
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 10001
-        values = [int(line.split("\t")[1]) for line in lines]
-        assert all(v > 0 for v in values)
-        assert lines[:201] == [f"{n}\t{c}" for n, c in enumerate(nu_series(200))]
-        assert lines[100] == "100\t13396"
-        assert {count(c, 100) for c in (ClassId.O, ClassId.D, ClassId.DO)} == {13396}
 
     @pytest.mark.parametrize("max_n", [0, 1, 2, 5, 6, 11, 12, 200])
     def test_pnu_lines_are_the_naive_series(self, capsys, max_n):
@@ -119,6 +107,12 @@ class TestVerify:
         _, first, _ = run(capsys, "verify", "--max-n", "5")
         _, second, _ = run(capsys, "verify", "--max-n", "5")
         assert first == second
+
+    def test_default_bounds(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("#")] == [
+            "# counts 0..40", "# roundtrips 0..25", "# series 0..40"]
 
 
 class TestRender:
