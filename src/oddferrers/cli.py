@@ -12,23 +12,12 @@ from .errors import OddFerrersError, TooLarge
 
 # Each command imports the modules it runs when it starts, so that the
 # series alone does not compile the class walks and the maps. The names
-# that argparse offers are written out here for the same reason.
-
-# the ClassId values
+# that argparse offers are written out here for the same reason: the ClassId
+# values, and the bijections' names in `bijections`, offered with dashes.
 _CLASS_NAMES = ("O", "S", "D", "DO")
-
-# map name -> (the bijection's name in `bijections`, whether its input is an
-# odd Ferrers graph)
-_MAPS = {
-    "phi": ("phi", True),
-    "phi-inverse": ("phi_inverse", False),
-    "o-to-d": ("o_to_d", True),
-    "d-to-o": ("d_to_o", False),
-    "d-to-do": ("d_to_do", False),
-    "do-to-d": ("do_to_d", False),
-    "sc-to-distinct-odd": ("sc_to_distinct_odd", False),
-    "distinct-odd-to-sc": ("distinct_odd_to_sc", False),
-}
+_MAPS = ("phi", "phi_inverse", "o_to_d", "d_to_o", "d_to_do", "do_to_d",
+         "sc_to_distinct_odd", "distinct_odd_to_sc")
+_GRAPH_INPUT_MAPS = ("phi", "o_to_d")
 
 # nu_series divides by residue-class running sums, and its last level holds the
 # old and the new coefficients at once: at 10^5, `count --class pnu --max-n`
@@ -103,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser("map", help="apply one of the bijections")
     p_map.set_defaults(run=_cmd_map)
-    p_map.add_argument("name", choices=list(_MAPS))
+    p_map.add_argument("name", choices=[name.replace("_", "-") for name in _MAPS])
     p_map.add_argument("--input", required=True)
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
@@ -153,85 +142,75 @@ def _cmd_map(args) -> int:
     p = _parse_partition(args.input)
     from . import bijections, ferrers
 
-    name, takes_graph = _MAPS[args.name]
-    arg = ferrers.OddFerrersGraph(p) if takes_graph else p
+    name = args.name.replace("-", "_")
+    arg = ferrers.OddFerrersGraph(p) if name in _GRAPH_INPUT_MAPS else p
     print(_text(getattr(bijections, name)(arg)))
     return 0
 
 
-def _verify_counts(n: int, series, classes) -> tuple[bool, str]:
-    values = {c.value: classes.count(c, n) for c in classes.ClassId}
-    values["pnu"] = series[n]
-    ok = len(set(values.values())) == 1
-    detail = " ".join(f"{k}={v}" for k, v in values.items())
-    return ok, detail
-
-
-def _verify_roundtrips(n: int, classes, bijections) -> tuple[bool, str]:
-    o, s, d, do = (classes.members(c, n) for c in classes.ClassId)
-    maps = [
-        ("phi", o, bijections.phi, bijections.phi_inverse, s),
-        ("o_to_d", o, bijections.o_to_d, bijections.d_to_o, d),
-        ("d_to_do", d, bijections.d_to_do, bijections.do_to_d, do),
-    ]
-    for name, sources, forward, inverse, targets in maps:
-        images = [forward(x) for x in sources]
-        image_texts = sorted(map(_text, images))
-        if image_texts != sorted(map(_text, targets)):
-            return False, f"{name} image differs from its target class: {image_texts}"
-        for x, y in zip(sources, images):
-            if inverse(y) != x:
-                return False, f"inverse of {name} does not give back {_text(x)}"
-        # each target y is now forward(x) with inverse(y) = x, so forward(inverse(y)) = y
-    return True, ""
-
-
-def _verify_series(n: int, base, wider) -> tuple[bool, str]:
-    return base[n] == wider[n], f"coeff={base[n]} wider={wider[n]}"
-
-
-def _counts_check(max_n: int):
+def _verify_counts(max_n: int):
     from . import classes
-    return functools.partial(_verify_counts, series=_nu_series(max_n), classes=classes)
 
-
-def _roundtrips_check(max_n: int):
-    from . import bijections, classes
-    return functools.partial(_verify_roundtrips, classes=classes, bijections=bijections)
-
-
-def _report(name: str, max_n: int, check, failures: int) -> int:
-    """Print one PASS/FAIL line per n, and the first counterexample of the
-    whole run; return the failure total so far."""
-    print(f"# {name} 0..{max_n}")
+    series = _nu_series(max_n)
     for n in range(max_n + 1):
-        ok, detail = check(n)
-        print(f"{n}\t{'PASS' if ok else 'FAIL'}" + ("" if ok else f"\t{detail}"))
-        if not ok and failures == 0:
-            print(f"first counterexample: n={n} {detail}")
-        failures += 0 if ok else 1
-    return failures
+        values = {c.value: classes.count(c, n) for c in classes.ClassId}
+        values["pnu"] = series[n]
+        yield len(set(values.values())) == 1, " ".join(f"{k}={v}" for k, v in values.items())
 
 
-# verify check -> (default max-n, builds the per-n check up to a max-n), in
-# run order; a builder imports the modules that its check runs, once per run
-# and not per n; counts and roundtrips walk the classes at every n, and every
-# check takes the class cap
+def _verify_roundtrips(max_n: int):
+    from . import bijections, classes
+
+    for n in range(max_n + 1):
+        o, s, d, do = (classes.members(c, n) for c in classes.ClassId)
+        for name, sources, forward, inverse, targets in (
+            ("phi", o, bijections.phi, bijections.phi_inverse, s),
+            ("o_to_d", o, bijections.o_to_d, bijections.d_to_o, d),
+            ("d_to_do", d, bijections.d_to_do, bijections.do_to_d, do),
+        ):
+            images = [forward(x) for x in sources]
+            image_texts = sorted(map(_text, images))
+            if image_texts != sorted(map(_text, targets)):
+                yield False, f"{name} image differs from its target class: {image_texts}"
+                break
+            lost = next((x for x, y in zip(sources, images) if inverse(y) != x), None)
+            if lost is not None:
+                yield False, f"inverse of {name} does not give back {_text(lost)}"
+                break
+            # each target y is now forward(x) with inverse(y) = x, so forward(inverse(y)) = y
+        else:
+            yield True, ""
+
+
+def _verify_series(max_n: int):
+    base, wider = _nu_series(max_n), _nu_series(max_n + 50)
+    for n in range(max_n + 1):
+        yield base[n] == wider[n], f"coeff={base[n]} wider={wider[n]}"
+
+
+# verify check -> (default max-n, check), in run order. A check is a generator:
+# it imports its modules and builds its expansions once, when it starts, then
+# yields (ok, detail) for each n from 0 to max-n; counts and roundtrips walk
+# the classes at every n, and every check takes the class cap
 _CHECKS = {
-    "counts": (40, _counts_check),
-    "roundtrips": (25, _roundtrips_check),
-    "series": (40, lambda max_n: functools.partial(
-        _verify_series, wider=_nu_series(max_n + 50), base=_nu_series(max_n))),
+    "counts": (40, _verify_counts),
+    "roundtrips": (25, _verify_roundtrips),
+    "series": (40, _verify_series),
 }
 
 
 def _cmd_verify(args) -> int:
     failures = 0
-    for name, (default_max_n, build) in _CHECKS.items():
+    for name, (default_max_n, check) in _CHECKS.items():
         if args.checks in ("all", name):
             max_n = default_max_n if args.max_n is None else args.max_n
-            _check_class_n(max_n)
-            failures = _report(name, max_n, build(max_n), failures)
+            _check_class_n(max_n)  # before any output, so a refusal prints nothing
+            print(f"# {name} 0..{max_n}")
+            for n, (ok, detail) in enumerate(check(max_n)):
+                print(f"{n}\t{'PASS' if ok else 'FAIL'}" + ("" if ok else f"\t{detail}"))
+                if not ok and failures == 0:
+                    print(f"first counterexample: n={n} {detail}")
+                failures += 0 if ok else 1
     return 0 if failures == 0 else 1
 
 

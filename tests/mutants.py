@@ -11,8 +11,9 @@ with PYTHONPATH=src, ignoring `tests/test_mutant_table.py`. That test checks
 the rows against the source, so every mutated copy would fail it; tier-1
 runs it, so a stale row fails tier-1 as well as this runner. Each run is
 under an address-space limit of CHILD_AS_KIB, so a mutant that drops a size
-cap fails by MemoryError instead of taking the host's memory. The runner
-exits 1 when
+cap fails by MemoryError instead of taking the host's memory, and a run
+still going after CHILD_TIMEOUT_S is stopped and counts as a failure: the
+row prints as `killed (timeout)`. The runner exits 1 when
 
 - a row's old text does not occur exactly once in its file, so a change to
   the source must update its rows;
@@ -104,7 +105,7 @@ ROWS = [
            "killed", "the self-conjugacy test reads only the first four rows (PR 13)"),
     Mutant("src/oddferrers/cli.py", "if top_n > MAX_CLASS_N:", "if top_n > MAX_CLASS_N + 1:",
            "killed", "the CLI walks a class to one index past its cap (PR 19)"),
-    Mutant("src/oddferrers/cli.py", "return base[n] == wider[n],", "return True,",
+    Mutant("src/oddferrers/cli.py", "yield base[n] == wider[n],", "yield True,",
            "killed", "verify --checks series passes every coefficient"),
     Mutant("src/oddferrers/cli.py", "except OddFerrersError as exc:", "except ZeroDivisionError as exc:",
            "killed", "a non-member leaves main as a traceback, not as exit 1"),
@@ -114,6 +115,14 @@ ROWS = [
            "killed", "a bare verify checks the roundtrips to 26"),
     Mutant("src/oddferrers/cli.py", "from . import qseries\n", "from . import classes, qseries\n",
            "killed", "count --class pnu imports the class walks it never runs"),
+    Mutant("src/oddferrers/cli.py", "if not ok and failures == 0:", "if not ok:",
+           "killed", "verify names a first counterexample at every failing n"),
+    Mutant("src/oddferrers/cli.py", '_GRAPH_INPUT_MAPS = ("phi", "o_to_d")', '_GRAPH_INPUT_MAPS = ("phi",)',
+           "killed", "map o-to-d hands its input to o_to_d as a partition, not a graph"),
+    Mutant("src/oddferrers/cli.py",
+           "series = _nu_series(max_n)\n    for n in range(max_n + 1):\n",
+           "for n in range(max_n + 1):\n        series = _nu_series(max_n)\n",
+           "killed", "verify --checks counts expands the series again at every n"),
 ]
 
 
@@ -129,11 +138,14 @@ def tier1_fails(row: Mutant, workdir: Path) -> bool:
     target = tree / row.path
     target.write_text(target.read_text().replace(row.old, row.new))
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--ignore=tests/test_mutant_table.py", "tests"],
-        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        preexec_fn=_limit_address_space, timeout=CHILD_TIMEOUT_S)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--ignore=tests/test_mutant_table.py", "tests"],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            preexec_fn=_limit_address_space, timeout=CHILD_TIMEOUT_S)
+    except subprocess.TimeoutExpired:  # a mutant that hangs is caught, if only by the clock
+        return True
     return proc.returncode != 0
 
 
@@ -157,9 +169,12 @@ def main() -> int:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory() as workdir:
             killed = tier1_fails(row, Path(workdir))
+        seconds = time.perf_counter() - start
         outcome = "killed" if killed else "equivalent"
-        print(f"{outcome:<10}  {time.perf_counter() - start:5.1f} s  {row.path}: {row.why}", flush=True)
-        if outcome != row.label:
+        if seconds >= CHILD_TIMEOUT_S:  # tier1_fails stops a run at the timeout
+            outcome += " (timeout)"
+        print(f"{outcome:<10}  {seconds:5.1f} s  {row.path}: {row.why}", flush=True)
+        if killed != (row.label == "killed"):
             problems.append(f"labelled {row.label}, but {outcome}: {row.path}: {row.old!r} -> {row.new!r}")
     print("\n".join(problems) or f"all {len(ROWS)} rows at their labels")
     return 1 if problems else 0

@@ -48,16 +48,6 @@ class TestCount:
         assert run(capsys, "count", "--class", "pnu", "--max-n", str(max_n)) == (0, "".join(lines), "")
         assert run(capsys, "count", "--class", "pnu", "--n", str(max_n)) == (0, lines[-1], "")
 
-    def test_bad_class(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--class", "X", "--n", "0"])
-        assert exc.value.code == 2
-
-    def test_n_and_max_n_exclusive(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--class", "S", "--n", "1", "--max-n", "2"])
-        assert exc.value.code == 2
-
 
 class TestEnumerate:
     def test_s1(self, capsys):
@@ -242,6 +232,20 @@ def test_verify_series_walks_no_class(capsys, monkeypatch):
     assert out.splitlines() == ["# series 0..40", *(f"{n}\tPASS" for n in range(41))]
 
 
+@pytest.mark.parametrize("check, orders", [("counts", [5]), ("series", [5, 55])])
+def test_verify_expands_the_series_once_per_run(capsys, monkeypatch, check, orders):
+    real = oddferrers.qseries.nu_series
+    calls = []
+
+    def counted(order):
+        calls.append(order)
+        return real(order)
+
+    monkeypatch.setattr(oddferrers.qseries, "nu_series", counted)
+    assert run(capsys, "verify", "--checks", check, "--max-n", "5")[0] == 0
+    assert sorted(calls) == orders
+
+
 @pytest.mark.parametrize("coeff_3", [3, -1], ids=["off-by-one", "negative"])
 def test_verify_series_failure_names_the_first_counterexample(capsys, monkeypatch, coeff_3):
     real = oddferrers.qseries.nu_series
@@ -316,6 +320,7 @@ def test_console_entry_point():
     ["enumerate", "--class", "O"],
     ["render"],
     ["map", "phi", "--check", "--input", "3,3,2"],
+    ["count", "--class", "S", "--n", "1", "--max-n", "2"],
 ])
 def test_malformed_arguments_print_usage_and_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

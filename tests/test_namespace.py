@@ -53,6 +53,6 @@ def test_every_public_name_resolves():
 def test_cli_names_are_the_library_names():
     # argparse offers these before the modules that define them are imported
     assert cli._CLASS_NAMES == tuple(c.value for c in ClassId)
-    maps = {name for name, _ in cli._MAPS.values()}
+    maps = set(cli._MAPS)
     assert maps == {name for name in oddferrers.__all__
                     if getattr(oddferrers, name).__module__ == bijections.__name__}
