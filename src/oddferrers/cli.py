@@ -19,9 +19,10 @@ _MAPS = ("phi", "phi_inverse", "o_to_d", "d_to_o", "d_to_do", "do_to_d",
          "sc_to_distinct_odd", "distinct_odd_to_sc")
 _GRAPH_INPUT_MAPS = ("phi", "o_to_d")
 
-# nu_series divides by residue-class running sums, and its last level holds the
-# old and the new coefficients at once: at 10^5, `count --class pnu --max-n`
-# takes 1.9-2.5 s and peaks at 34-35 MiB RSS (Python 3.11, 2-core shared x86-64 host)
+# nu_series divides each level by residue-class running sums or by blocks of e,
+# and its last level holds the old and the new coefficients at once: at 10^5,
+# `count --class pnu --max-n` takes 2.1-2.7 s and peaks at 33-34 MiB RSS
+# (Python 3.11, 2-core shared x86-64 host)
 MAX_SERIES_ORDER = 10**5
 # the classes grow about tenfold per 50 in n: a walk to 150 takes seconds,
 # and O has about 9*10^7 members at n = 300

@@ -1,6 +1,7 @@
 """Expansion of Watson's third order mock theta function nu at -q, whose
 coefficients are an independent count oracle for the four classes."""
 from itertools import accumulate
+from operator import add
 
 
 def nu_series(order: int) -> tuple[int, ...]:
@@ -12,15 +13,20 @@ def nu_series(order: int) -> tuple[int, ...]:
     enters T_0 times q^(n(n+1)), so it is needed only to order - n(n+1).
     One list t holds T_(n+1); each level puts 1 and 2n+1 zeros in front of
     it, which gives 1 + q^(2n+2) T_(n+1), and divides that by 1 - q^(2n+1).
-    With e = 2n+1, dividing by 1 - q^e turns each residue class
-    t[r], t[r + e], ... into its running sums, so each class that holds two
-    or more coefficients is one `accumulate` over a slice. The innermost
-    level is the largest n with n(n+1) <= order; its q^(2n+2) T_(n+1) lies
-    past the truncation.
+    With e = 2n+1, dividing by 1 - q^e adds t[i - e] to each t[i] in turn.
+    Two sets of slices do that, and each level takes the one with fewer.
+    While e * e < len(t), so there are fewer residue classes than blocks of
+    e, each class t[r], t[r + e], ... becomes its running sums, one
+    `accumulate` per class; otherwise each contiguous block of e adds the
+    block before it, already divided, one slice per block after the first.
+    The innermost level is the largest n with n(n+1) <= order; its
+    q^(2n+2) T_(n+1) lies past the truncation.
 
     The last level's running sum (e = 1) holds the old and the new
     coefficients at once, so the peak is about two lists of order + 1 ints.
     """
+    if type(order) is not int:  # a bool would expand, and a float fail as a slice index
+        raise TypeError(f"series order must be an int: {order!r}")
     top = 0
     while (top + 1) * (top + 2) <= order:
         top += 1
@@ -30,6 +36,11 @@ def nu_series(order: int) -> tuple[int, ...]:
         t[:0] = [1] + [0] * e
         # cuts only the innermost level: below it, t is already order - n(n+1) + 1 long
         del t[order - n * (n + 1) + 1:]
-        for r in range(min(e, len(t) - e)):
-            t[r::e] = accumulate(t[r::e])
+        if e * e < len(t):
+            for r in range(e):
+                t[r::e] = accumulate(t[r::e])
+        else:
+            acc = t[:e]
+            for s in range(e, len(t), e):
+                acc = t[s:s + e] = [*map(add, t[s:s + e], acc)]
     return tuple(t)

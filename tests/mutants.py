@@ -6,10 +6,15 @@ once as a row, and the runner that checks them:
 
 For each row the runner copies the repo, without `.git` and `perfbench/`,
 into a temporary directory, replaces the row's old text in its file with the
-new text, and runs `python -m pytest -q -x -p no:cacheprovider tests` there
-with PYTHONPATH=src, ignoring `tests/test_mutant_table.py`. That test checks
-the rows against the source, so every mutated copy would fail it; tier-1
-runs it, so a stale row fails tier-1 as well as this runner. Each run is
+new text, and runs `python -m pytest -q -x -p no:cacheprovider` there with
+PYTHONPATH=src on the test files, named one by one: the mutated module's own
+`tests/test_<stem>.py` first, when there is one, then the rest in name
+order, so that a killed row stops in the file most likely to kill it. Pytest
+keeps the order of the files it is given; handed the `tests` directory, it
+would start with `test_acceptance.py` whatever came before. The list leaves
+out `tests/test_mutant_table.py`. That test checks the rows against the
+source, so every mutated copy would fail it; tier-1 runs it, so a stale row
+fails tier-1 as well as this runner. Each run is
 under an address-space limit of CHILD_AS_KIB, so a mutant that drops a size
 cap fails by MemoryError instead of taking the host's memory, and a run
 still going after CHILD_TIMEOUT_S is stopped and counts as a failure: the
@@ -49,9 +54,13 @@ class Mutant(NamedTuple):
 
 
 ROWS = [
-    Mutant("src/oddferrers/qseries.py",
-           "for r in range(min(e, len(t) - e)):", "for r in range(min(e, len(t) - e) - 1):",
+    Mutant("src/oddferrers/qseries.py", "for r in range(e):", "for r in range(e - 1):",
            "killed", "the division leaves the last residue class of each level undivided"),
+    Mutant("src/oddferrers/qseries.py", "acc = t[:e]", "acc = t[1:e + 1]",
+           "killed", "the block division adds each block's neighbour one step on"),
+    Mutant("src/oddferrers/qseries.py", "if e * e < len(t):", "if True:",
+           "equivalent", "both branches do the same division; the test only picks the one "
+           "with fewer slices"),
     Mutant("src/oddferrers/qseries.py", "t[:0] = [1] + [0] * e", "t[:0] = [1] + [0] * (e - 1)",
            "killed", "each inner level enters one order too low"),
     Mutant("src/oddferrers/cli.py", "for n in ns)", "for n in ns[:-1])",
@@ -130,6 +139,14 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_KIB * 1024, CHILD_AS_KIB * 1024))
 
 
+def tier1_files(row: Mutant) -> list[str]:
+    """The tier-1 test files for the row's run, its module's own file first."""
+    own = f"test_{Path(row.path).stem}.py"
+    names = sorted(p.name for p in (ROOT / "tests").glob("test_*.py"))
+    names.remove("test_mutant_table.py")
+    return [f"tests/{name}" for name in sorted(names, key=lambda name: name != own)]
+
+
 def tier1_fails(row: Mutant, workdir: Path) -> bool:
     """Whether tier-1 fails on a copy of the repo with the row applied."""
     tree = workdir / "repo"
@@ -140,8 +157,7 @@ def tier1_fails(row: Mutant, workdir: Path) -> bool:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--ignore=tests/test_mutant_table.py", "tests"],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tier1_files(row)],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             preexec_fn=_limit_address_space, timeout=CHILD_TIMEOUT_S)
     except subprocess.TimeoutExpired:  # a mutant that hangs is caught, if only by the clock

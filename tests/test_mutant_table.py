@@ -17,3 +17,14 @@ def test_a_run_stopped_at_the_timeout_counts_as_killed(monkeypatch, tmp_path):
 
     monkeypatch.setattr(subprocess, "run", hang)
     assert mutants.tier1_fails(mutants.ROWS[0], tmp_path) is True
+
+
+def test_a_run_starts_with_the_mutated_module_s_own_tests():
+    tier1 = sorted(f"tests/{p.name}" for p in (mutants.ROOT / "tests").glob("test_*.py")
+                   if p.name != "test_mutant_table.py")
+    for row in mutants.ROWS:
+        files = mutants.tier1_files(row)
+        assert sorted(files) == tier1
+        own = row.path.replace("src/oddferrers/", "tests/test_")
+        if own in files:
+            assert files[0] == own

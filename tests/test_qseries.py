@@ -1,4 +1,5 @@
-from oddferrers.classes import ClassId, count
+import pytest
+
 from oddferrers.qseries import nu_series
 
 import oracles
@@ -8,14 +9,17 @@ class TestNuSeries:
     def test_matches_naive_oracle_to_200(self):
         assert list(nu_series(200)) == oracles.naive_nu_minus_q(200)
 
-    def test_coefficients_count_the_odd_self_conjugate_class(self):
-        series = nu_series(12)
-        for n in range(13):
-            assert series[n] == count(ClassId.S, n)
-
     def test_nonnegative(self):
         # every class has a member at every n, so each coefficient is positive
         assert all(c > 0 for c in nu_series(10000))
+
+    @pytest.mark.parametrize("order", [True, 2.0, "3", None])
+    def test_order_must_be_an_int(self, order):
+        with pytest.raises(TypeError, match="series order must be an int"):
+            nu_series(order)
+
+    def test_a_negative_order_has_no_coefficients(self):
+        assert nu_series(-1) == ()
 
 
 class TestPNu:
