@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 
-from .errors import MalformedDClass, MalformedDOClass, MalformedSClass, NotDistinctOdd, Refusal
+from .errors import MalformedDClass, MalformedDOClass, MalformedSClass, NotDistinctOdd
 from .ferrers import OddFerrersGraph
 from .partitions import Partition, _compose, hook_decompose
 
@@ -52,7 +52,7 @@ def _decode_S(p: Partition) -> tuple[int, ...]:
         arms = ((hooks[0] + 1) // 2, *[x // 2 for x in hooks[1::2]])
         if _s_hooks(arms) == hooks:
             return arms
-    raise MalformedSClass(Refusal(p.parts, "does not have hook arms 2a_1 - 1 and pairs 2a, 2a - 1"))
+    raise MalformedSClass(p.parts, "does not have hook arms 2a_1 - 1 and pairs 2a, 2a - 1")
 
 
 def _decode_D(p: Partition) -> tuple[int, ...]:
@@ -62,7 +62,7 @@ def _decode_D(p: Partition) -> tuple[int, ...]:
         arms = ((odds[0] + 1) // 2, *[(e + 2) // 4 for e in p.parts if e % 2 == 0])
         if all(map(operator.gt, arms, arms[1:])) and _d_parts(arms) == p.parts:
             return arms
-    raise MalformedDClass(Refusal(p.parts, "is not a part 2a_1 - 1 and parts 4a - 2 with a_1 > a_2 > ..."))
+    raise MalformedDClass(p.parts, "is not a part 2a_1 - 1 and parts 4a - 2 with a_1 > a_2 > ...")
 
 
 def _decode_DO(p: Partition) -> tuple[int, ...]:
@@ -74,7 +74,7 @@ def _decode_DO(p: Partition) -> tuple[int, ...]:
         arms = ((parts[0] + 3) // 4, *[(x + 1) // 4 for x in parts[1::2]])
         if _do_parts(arms) == parts:
             return arms
-    raise MalformedDOClass(Refusal(parts, "is not a part 4a_1 - 3 and pairs 4a - 1, 4a - 3"))
+    raise MalformedDOClass(parts, "is not a part 4a_1 - 3 and pairs 4a - 1, 4a - 3")
 
 
 def phi(g: OddFerrersGraph) -> Partition:
@@ -101,7 +101,7 @@ def distinct_odd_to_sc(p: Partition) -> Partition:
     """Inverse of sc_to_distinct_odd: each distinct odd part c becomes a hook
     of arm (c+1)/2."""
     if len(set(p.parts)) != len(p.parts) or any(x % 2 == 0 for x in p.parts):
-        raise NotDistinctOdd(Refusal(p.parts, "is not a partition into distinct odd parts"))
+        raise NotDistinctOdd(p.parts, "is not a partition into distinct odd parts")
     return _compose([(c + 1) // 2 for c in p.parts])
 
 

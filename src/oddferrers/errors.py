@@ -1,23 +1,13 @@
 """Exception types shared across the package."""
 
 
-class Refusal:
-    """The message "<parts> <why>" of an error, formatted only when it is read."""
-
-    __slots__ = ("parts", "why")
-
-    def __init__(self, parts: tuple[int, ...], why: str):
-        self.parts, self.why = parts, why
+class OddFerrersError(Exception):
+    """Base class for all domain errors. An error that names its input is
+    raised as `Error(parts, why)`, and its message "<parts> <why>" is
+    formatted only when it is read."""
 
     def __str__(self) -> str:
-        return f"{self.parts} {self.why}"
-
-    def __repr__(self) -> str:  # the error's repr shows its message, as it did as a str
-        return repr(str(self))
-
-
-class OddFerrersError(Exception):
-    """Base class for all domain errors."""
+        return " ".join(map(str, self.args))
 
 
 class NotSelfConjugate(OddFerrersError):

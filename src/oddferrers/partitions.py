@@ -5,7 +5,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidHookList, NotSelfConjugate, Refusal, TooLarge
+from .errors import InvalidHookList, NotSelfConjugate, TooLarge
 
 # the most cells a composed shape may have: `_compose`, under `hooks_compose`
 # and the maps, refuses more before any row; the CLI's `render` refuses more
@@ -74,7 +74,7 @@ def hook_decompose(p: Partition) -> tuple[int, ...]:
     """Arms of the principal hooks of a self-conjugate partition, outermost
     first. A hook of arm a is a, 1, 1, ..., 1 as a partition: 2a - 1 cells."""
     if (arms := _hook_arms(p.parts)) is None:
-        raise NotSelfConjugate(Refusal(p.parts, "is not self-conjugate"))
+        raise NotSelfConjugate(p.parts, "is not self-conjugate")
     return tuple(arms)
 
 

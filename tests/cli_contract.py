@@ -3,12 +3,14 @@
 A row holds an argv, the exit code, the expected stdout (whole, or its last
 line), the text that stderr starts with, and a timeout. On every row, an
 exit of 0 writes nothing to stderr and any other exit nothing to stdout.
-The README's examples and exit codes are rows; where the two disagree,
-this table is the contract.
+Every fact that one argv's exit code and output state, against a fixed value
+or one from `tests/oracles.py`, is a row, as is each command and exit code
+in the README; where the two disagree, this table is the contract.
 
 `tests/test_cli.py` runs the rows that are not `slow` in-process through
-`cli.main`. `python tests/cli_contract.py` runs every row through the
-installed `oddferrers` console script, each under its row's timeout.
+`cli.main`; its other tests patch the package, call the library, count calls
+or check usage text. `python tests/cli_contract.py` runs every row through
+the installed `oddferrers` console script, each under its row's timeout.
 """
 from __future__ import annotations
 
@@ -17,8 +19,23 @@ import subprocess
 import sys
 from typing import NamedTuple
 
+import oracles
+
 # p_nu(100) and p_nu(150), the counts that every class and the series share
 C100, C150 = "100\t13396\n", "150\t194712\n"
+# p_nu(0..200), from the schoolbook product-and-invert oracle
+NU = oracles.naive_nu_minus_q(200)
+
+
+def _table(coeffs) -> str:
+    """The `count --max-n` output of coefficients 0, 1, ..."""
+    return "".join(f"{n}\t{c}\n" for n, c in enumerate(coeffs))
+
+
+def _passes(**bounds: int) -> str:
+    """The whole output of a `verify` run whose checks, to these bounds, all pass."""
+    return "".join(f"# {name} 0..{top}\n" + "".join(f"{n}\tPASS\n" for n in range(top + 1))
+                   for name, top in bounds.items())
 
 
 class Row(NamedTuple):
@@ -31,8 +48,18 @@ class Row(NamedTuple):
     slow: bool = False  # a walk at the class cap or the series at its cap: console script only
 
 
+ORDERS = (0, 1, 2, 5, 6, 11, 12, 200)
 ROWS = [
+    # the series against the oracle, at the orders n(n+1) and their
+    # neighbours, where the expansion gains or loses a level
+    *(Row(f"count --class pnu --max-n {top}", out=_table(NU[:top + 1])) for top in ORDERS),
+    *(Row(f"count --class pnu --n {n}", out=f"{n}\t{NU[n]}\n") for n in ORDERS),
+    Row("count --class pnu --max-n 3", out="0\t1\n1\t1\n2\t2\n3\t2\n"),
+    Row("count --class pnu --max-n 40", tail="40\t191"),
     # the series against itself and against each class walk
+    *(Row(f"count --class {c} --max-n 10", out=_table(NU[:11])) for c in ("pnu", "S")),
+    Row("count --class S --n 0", out="0\t1\n"),
+    Row("count --class S --n 5", out="5\t3\n"),
     Row("count --class pnu --max-n 10000", timeout=60,
         tail="10000\t177749137350628021317917086041001210413823141867008800"),
     Row("count --class pnu --n 100", out=C100),
@@ -44,10 +71,33 @@ ROWS = [
     Row("count --class S --n 150", out=C150, timeout=30, slow=True),
     # the series at its cap order finishes
     Row("count --class pnu --n 100000", timeout=30, slow=True),
-    Row("verify --max-n 5", tail="5\tPASS"),
-    # the documented default bounds
-    Row("verify", tail="40\tPASS", timeout=30),
-    Row("verify --checks counts --max-n 60", tail="60\tPASS", timeout=30),
+
+    # each member on one line, or the class as one JSON object
+    Row("enumerate --class O --n 0", out="1\n"),
+    Row("enumerate --class S --n 1", out="3,1,1\n"),
+    Row("enumerate --class S --n 5", out="11,1,1,1,1,1,1,1,1,1,1\n9,3,3,1,1,1,1,1,1\n5,5,5,3,3\n"),
+    Row("enumerate --class S --n 1 --format json",
+        out='{"class": "S", "n": 1, "count": 1, "members": [[3, 1, 1]]}\n'),
+    Row("enumerate --class O --n 5 --format json", out='{"class": "O", "n": 5, "count": 3, '
+        '"members": [[6, 1, 1, 1, 1, 1], [5, 2, 1, 1, 1], [3, 3, 2]]}\n'),
+
+    # every check in run order; the bare verify has the documented default bounds
+    Row("verify --max-n 5", out=_passes(counts=5, roundtrips=5, series=5)),
+    Row("verify", out=_passes(counts=40, roundtrips=25, series=40), timeout=30),
+    Row("verify --checks counts --max-n 60", out=_passes(counts=60), timeout=30),
+    Row("verify --max-n 10 --checks roundtrips", out=_passes(roundtrips=10)),
+
+    # one character per cell, 1 on the first row and column and 2 inside; the
+    # JSON weight counts the 2s twice. Whitespace around a part, a printed
+    # line's newline included, is allowed
+    Row("render --shape 3,3,2", out="111\n122\n12\n"),
+    Row("render --shape 7,4,2,1", out="1111111\n1222\n12\n1\n"),
+    Row("render --shape 1", out="1\n"),
+    Row("render --shape 3,3,2 --format json",
+        out='{"shape": [3, 3, 2], "weight": 11, "row_sums": [3, 5, 3]}\n'),
+    Row("render --shape ' 5 , 3,1\n' --format json",
+        out='{"shape": [5, 3, 1], "weight": 11, "row_sums": [5, 5, 1]}\n'),
+    Row("render --shape 999999,1", out="1" * 999999 + "\n1\n"),
 
     # each map on the worked example; whitespace around a part is allowed
     Row("map phi --input 3,3,2", out="5,5,5,3,3\n"),
@@ -89,6 +139,8 @@ ROWS = [
 
     # one odd part c composes a hook of c cells, refused over 10^6 before
     # any row; render prints one character per cell
+    *(Row(f"map {name} --input 999999", out="500000" + ",1" * 499999 + "\n")
+      for name in ("d-to-o", "distinct-odd-to-sc")),
     *(Row(f"map {name} --input {c}", 2, err=f"error: the composed shape would have {c} cells, "
           "more than the 1000000")
       for name in ("d-to-o", "distinct-odd-to-sc") for c in (1000001, 100000001)),

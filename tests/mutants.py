@@ -132,6 +132,12 @@ ROWS = [
            "series = _nu_series(max_n)\n    for n in range(max_n + 1):\n",
            "for n in range(max_n + 1):\n        series = _nu_series(max_n)\n",
            "killed", "verify --checks counts expands the series again at every n"),
+    Mutant("src/oddferrers/cli.py", '"count": len(rows)', '"count": len(rows) + 1',
+           "killed", "enumerate --format json counts one member too many"),
+    Mutant("src/oddferrers/cli.py", '"weight": ferrers.graph_weight(g)', '"weight": shape.weight',
+           "killed", "render --format json gives the cell count, not the graph weight"),
+    Mutant("src/oddferrers/cli.py", '"row_sums": list(ferrers.row_sums(g))', '"row_sums": list(shape.parts)',
+           "killed", "render --format json gives the row lengths, not the row weights"),
 ]
 
 

@@ -1,8 +1,12 @@
+"""The CLI tests that patch the package, call the library, count calls or
+check usage text; every other CLI fact is a row of `tests/cli_contract.py`."""
 import json
+import os
 import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,6 @@ from oddferrers.errors import MalformedSClass
 from oddferrers.partitions import Partition
 
 import cli_contract
-import oracles
 
 
 def run(capsys, *argv):
@@ -25,116 +28,51 @@ def run(capsys, *argv):
     return code, out, err
 
 
-class TestCount:
-    def test_single_n(self, capsys):
-        code, out, _ = run(capsys, "count", "--class", "S", "--n", "0")
-        assert code == 0 and out == "0\t1\n"
+# run in a fresh interpreter, so that no other test has imported a module yet
+_LOADED_BY_COMMANDS = """
+import contextlib, io, json, sys
+from oddferrers.cli import main
 
-    def test_max_n(self, capsys):
-        code, out, _ = run(capsys, "count", "--class", "pnu", "--max-n", "3")
-        assert code == 0
-        assert out == "0\t1\n1\t1\n2\t2\n3\t2\n"
+def loaded(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return sorted(m for m in sys.modules if m.startswith("oddferrers."))
 
-    def test_pnu_matches_s(self, capsys):
-        _, out_pnu, _ = run(capsys, "count", "--class", "pnu", "--max-n", "10")
-        _, out_s, _ = run(capsys, "count", "--class", "S", "--max-n", "10")
-        assert out_pnu == out_s
+print(json.dumps([loaded(["count", "--class", "pnu", "--max-n", "5"]),
+                  loaded(["verify", "--checks", "counts", "--max-n", "3"])]))
+"""
 
-    @pytest.mark.parametrize("max_n", [0, 1, 2, 5, 6, 11, 12, 200])
-    def test_pnu_lines_are_the_naive_series(self, capsys, max_n):
-        # the orders n(n+1) and their neighbours are where the expansion
-        # gains or loses a level
-        lines = [f"{n}\t{c}\n" for n, c in enumerate(oracles.naive_nu_minus_q(max_n))]
-        assert run(capsys, "count", "--class", "pnu", "--max-n", str(max_n)) == (0, "".join(lines), "")
-        assert run(capsys, "count", "--class", "pnu", "--n", str(max_n)) == (0, lines[-1], "")
+
+def test_a_command_imports_only_the_modules_it_runs():
+    src = Path(oddferrers.cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_COMMANDS], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    series, counts = json.loads(proc.stdout)
+    assert series == ["oddferrers.cli", "oddferrers.errors", "oddferrers.qseries"]
+    assert "oddferrers.classes" in counts and "oddferrers.bijections" not in counts
+
+
+def test_each_readme_command_is_a_contract_row():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0].splitlines()
+    argvs = {line.split("#")[0].strip().removeprefix("oddferrers ") for line in block}
+    assert len(argvs) == 10 and argvs - {row.argv for row in cli_contract.ROWS} == set()
 
 
 class TestEnumerate:
-    def test_s1(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--class", "S", "--n", "1")
-        assert code == 0 and out == "3,1,1\n"
-
-    def test_o0(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--class", "O", "--n", "0")
-        assert code == 0 and out == "1\n"
-
-    def test_s5_contains_worked_example(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--class", "S", "--n", "5")
-        assert code == 0 and "5,5,5,3,3" in out.splitlines()
-
     def test_text_is_one_line_per_member(self, capsys):
         rows = "".join(",".join(map(str, p.parts)) + "\n" for p in members(ClassId.S, 12))
         assert run(capsys, "enumerate", "--class", "S", "--n", "12") == (0, rows, "")
 
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--class", "S", "--n", "1",
-                           "--format", "json")
-        assert code == 0
-        assert json.loads(out) == {
-            "class": "S", "n": 1, "count": 1, "members": [[3, 1, 1]],
-        }
-
 
 class TestMap:
-    @pytest.mark.parametrize("name", ["d-to-o", "distinct-odd-to-sc"])
-    def test_shape_under_cell_cap_is_composed(self, capsys, name):
-        code, out, err = run(capsys, "map", name, "--input", "999999")
-        assert (code, err) == (0, "")
-        assert out == "500000" + ",1" * 499999 + "\n"
-
     def test_roundtrip_identical_text(self, capsys):
-        from oddferrers.classes import members
-
         for p in members(ClassId.S, 6):
             text = ",".join(map(str, p.parts))
             _, shape_text, _ = run(capsys, "map", "phi-inverse", "--input", text)
             _, back, _ = run(capsys, "map", "phi", "--input", shape_text.strip())
             assert back.strip() == text
-
-
-class TestVerify:
-    def test_deterministic(self, capsys):
-        _, first, _ = run(capsys, "verify", "--max-n", "5")
-        _, second, _ = run(capsys, "verify", "--max-n", "5")
-        assert first == second
-
-    def test_default_bounds(self, capsys):
-        code, out, _ = run(capsys, "verify")
-        assert code == 0
-        assert [line for line in out.splitlines() if line.startswith("#")] == [
-            "# counts 0..40", "# roundtrips 0..25", "# series 0..40"]
-
-
-class TestRender:
-    def test_diagram_goldens(self, capsys):
-        code, out, _ = run(capsys, "render", "--shape", "3,3,2")
-        assert code == 0 and out == "111\n122\n12\n"
-        code, out, _ = run(capsys, "render", "--shape", "7,4,2,1")
-        assert code == 0 and out == "1111111\n1222\n12\n1\n"
-        code, out, _ = run(capsys, "render", "--shape", "1")
-        assert code == 0 and out == "1\n"
-
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "render", "--shape", "3,3,2", "--format", "json")
-        assert code == 0
-        assert json.loads(out) == {"shape": [3, 3, 2], "weight": 11,
-                                   "row_sums": [3, 5, 3]}
-
-    def test_text_roundtrip(self, capsys):
-        # a printed shape parses back to the same parts
-        code, out, _ = run(capsys, "map", "distinct-odd-to-sc", "--input", "9,7,5")
-        assert (code, out) == (0, "5,5,5,3,3\n")
-        code, out, _ = run(capsys, "render", "--shape", out, "--format", "json")
-        assert code == 0 and json.loads(out)["shape"] == [5, 5, 5, 3, 3]
-
-    def test_whitespace_around_parts_is_allowed(self, capsys):
-        code, out, _ = run(capsys, "render", "--shape", " 5 , 3,1\n", "--format", "json")
-        assert code == 0 and json.loads(out)["shape"] == [5, 3, 1]
-
-    def test_shape_at_cell_limit_renders(self, capsys):
-        code, out, err = run(capsys, "render", "--shape", "999999,1")
-        assert code == 0 and err == ""
-        assert out == "1" * 999999 + "\n1\n"
 
 
 class _RecordedStdout:
@@ -302,13 +240,11 @@ def test_verify_roundtrips_failure_exits_1(capsys, monkeypatch, name, detail):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "oddferrers.cli", "map", "phi", "--input", "3,3,2"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "5,5,5,3,3\n"
+    # `python -m oddferrers.cli` reaches main through the module's __main__ guard
+    row = next(row for row in cli_contract.ROWS if row.argv == "map phi --input 3,3,2")
+    proc = subprocess.run([sys.executable, "-m", "oddferrers.cli", *shlex.split(row.argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert cli_contract.problems(row, proc.returncode, proc.stdout, proc.stderr) == []
 
 
 @pytest.mark.parametrize("argv", [

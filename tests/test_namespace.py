@@ -1,41 +1,11 @@
 """The package namespace is lazy: a name imports its submodule when it is
-first read, and the CLI imports only the modules that a command runs."""
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
+first read. That the CLI imports only the modules that a command runs is
+tested in `tests/test_cli.py`, so a mutant of `cli` stops in its own file."""
 import pytest
 
 import oddferrers
 from oddferrers import bijections, cli
 from oddferrers.classes import ClassId
-
-SRC = Path(oddferrers.__file__).resolve().parent.parent
-
-# run in a fresh interpreter, so that no other test has imported a module yet
-_LOADED_BY_COMMANDS = """
-import contextlib, io, json, sys
-from oddferrers.cli import main
-
-def loaded(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-    return sorted(m for m in sys.modules if m.startswith("oddferrers."))
-
-print(json.dumps([loaded(["count", "--class", "pnu", "--max-n", "5"]),
-                  loaded(["verify", "--checks", "counts", "--max-n", "3"])]))
-"""
-
-
-def test_a_command_imports_only_the_modules_it_runs():
-    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_COMMANDS], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    series, counts = json.loads(proc.stdout)
-    assert series == ["oddferrers.cli", "oddferrers.errors", "oddferrers.qseries"]
-    assert "oddferrers.classes" in counts and "oddferrers.bijections" not in counts
 
 
 def test_every_public_name_resolves():
