@@ -75,6 +75,32 @@ class TestMap:
             assert back.strip() == text
 
 
+class TestVerify:
+    def test_deterministic(self, capsys):
+        _, first, _ = run(capsys, "verify", "--max-n", "5")
+        _, second, _ = run(capsys, "verify", "--max-n", "5")
+        assert first == second
+
+    def test_default_bounds(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("#")] == [
+            "# counts 0..40", "# roundtrips 0..25", "# series 0..40"]
+
+
+class TestRender:
+    def test_text_roundtrip(self, capsys):
+        # a printed shape parses back to the same parts
+        code, out, _ = run(capsys, "map", "distinct-odd-to-sc", "--input", "9,7,5")
+        assert (code, out) == (0, "5,5,5,3,3\n")
+        code, out, _ = run(capsys, "render", "--shape", out, "--format", "json")
+        assert code == 0 and json.loads(out)["shape"] == [5, 5, 5, 3, 3]
+
+    def test_whitespace_around_parts_is_allowed(self, capsys):
+        code, out, _ = run(capsys, "render", "--shape", " 5 , 3,1\n", "--format", "json")
+        assert code == 0 and json.loads(out)["shape"] == [5, 3, 1]
+
+
 class _RecordedStdout:
     """A stdout that keeps the lines of each write or writelines call."""
 
