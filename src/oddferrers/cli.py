@@ -3,9 +3,11 @@ rendering of odd Ferrers graphs and their partition classes."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
+from itertools import chain
 
 from . import qseries
 from .errors import OddFerrersError, TooLarge
@@ -27,6 +29,12 @@ MAX_SERIES_ORDER = 10**5
 # the classes grow about tenfold per 50 in n: a walk to 150 takes seconds,
 # and O has about 9*10^7 members at n = 300
 MAX_CLASS_N = 150
+# the pnu table is formatted and written this many lines at a time, so that
+# one block of text at most is in memory beside the series
+_PNU_BLOCK_LINES = 4096
+# what `main` returns when stdout's reader stops early: 128 + SIGPIPE, as a
+# shell reports a command that the signal ended
+CLOSED_PIPE_EXIT = 141
 
 
 class _Refused(Exception):
@@ -110,11 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    ns = range(args.max_n + 1) if args.n is None else [args.n]
+    ns = range(args.max_n + 1) if args.n is None else range(args.n, args.n + 1)
     if args.cls == "pnu":
         series = _nu_series(ns[-1])
-        # the whole table is in memory: one call, and a generator so it still streams
-        sys.stdout.writelines(f"{n}\t{series[n]}\n" for n in ns)
+        for i in range(0, len(ns), _PNU_BLOCK_LINES):
+            block = ns[i:i + _PNU_BLOCK_LINES]
+            # one % for the block, its indices and coefficients paired in C
+            fields = tuple(chain.from_iterable(zip(block, series[block.start:block.stop])))
+            sys.stdout.write("%d\t%d\n" * len(block) % fields)
     else:
         _check_class_n(ns[-1])
         from . import classes
@@ -239,7 +250,16 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise _Refused(f"{flag.replace('_', '-')} must be nonnegative")
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not as the interpreter exits
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does. A closed stream is not
+        # flushed again when the interpreter exits, and closing it leaves
+        # descriptor 1 open, since the interpreter's stdout does not own it
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        return CLOSED_PIPE_EXIT
     except (_Refused, TooLarge) as exc:
         # exit 1 is kept for inputs that are not class members
         print(f"error: {exc}", file=sys.stderr)

@@ -63,8 +63,19 @@ ROWS = [
            "with fewer slices"),
     Mutant("src/oddferrers/qseries.py", "t[:0] = [1] + [0] * e", "t[:0] = [1] + [0] * (e - 1)",
            "killed", "each inner level enters one order too low"),
-    Mutant("src/oddferrers/cli.py", "for n in ns)", "for n in ns[:-1])",
+    Mutant("src/oddferrers/cli.py",
+           "block = ns[i:i + _PNU_BLOCK_LINES]", "block = ns[i:min(i + _PNU_BLOCK_LINES, len(ns) - 1)]",
            "killed", "the pnu table loses its last line"),
+    Mutant("src/oddferrers/cli.py",
+           "range(0, len(ns), _PNU_BLOCK_LINES)", "range(0, len(ns), _PNU_BLOCK_LINES + 1)",
+           "killed", "each pnu block after the first starts one line late, so line 4096 is lost"),
+    Mutant("src/oddferrers/cli.py", "except BrokenPipeError:", "except ZeroDivisionError:",
+           "killed", "a reader that stops early leaves main as a traceback and exit 1"),
+    Mutant("src/oddferrers/cli.py", "sys.stdout.flush()", "pass",
+           "killed", "output still buffered meets the closed pipe as the interpreter exits, "
+           "which prints a warning and exits 120"),
+    Mutant("src/oddferrers/cli.py", "sys.stdout.close()", "pass",
+           "killed", "the interpreter flushes the failed output again at exit, with a warning and exit 120"),
     Mutant("src/oddferrers/bijections.py", "parts[-1] % 4 == 1", "parts[-1] % 4 == 3",
            "killed", "the DO pre-check refuses every member"),
     Mutant("src/oddferrers/classes.py",

@@ -1,5 +1,6 @@
 """The CLI tests that patch the package, call the library, count calls or
 check usage text; every other CLI fact is a row of `tests/cli_contract.py`."""
+import fcntl
 import json
 import os
 import shlex
@@ -102,27 +103,69 @@ class TestRender:
 
 
 class _RecordedStdout:
-    """A stdout that keeps the lines of each write or writelines call."""
+    """A stdout that keeps the number of lines in each write or writelines call."""
 
     def __init__(self):
         self.calls = []
 
     def write(self, text):
-        self.calls.append([text])
+        self.calls.append(text.count("\n"))
 
     def writelines(self, lines):
-        self.calls.append(list(lines))
+        self.calls.append(sum(line.count("\n") for line in lines))
+
+    def flush(self):
+        pass
 
 
 @pytest.mark.parametrize("argv, lines", [
-    ("count --class pnu --max-n 600", 601),
-    ("enumerate --class S --n 12", len(members(ClassId.S, 12))),
-], ids=["pnu", "enumerate"])
+    ("count --class pnu --max-n 600", [601]),
+    ("count --class pnu --max-n 10000", [4096, 4096, 1809]),
+    ("enumerate --class S --n 12", [len(members(ClassId.S, 12))]),
+], ids=["pnu", "pnu-blocks", "enumerate"])
 def test_a_table_in_memory_is_written_in_one_call(monkeypatch, argv, lines):
+    # the pnu table is written in blocks of at most 4096 lines
     stdout = _RecordedStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(argv.split()) == 0
-    assert [len(call) for call in stdout.calls] == [lines]
+    assert stdout.calls == lines
+
+
+@pytest.mark.parametrize("flag, top", [
+    ("max-n", 10000), *((flag, top) for flag in ("max-n", "n") for top in (4095, 4096, 4097)),
+])
+def test_pnu_table_is_the_library_s_series_across_blocks(capsys, flag, top):
+    # the contract rows pin only the last line past order 200, so a line lost
+    # at a block boundary shows here
+    first = 0 if flag == "max-n" else top
+    coeffs = oddferrers.qseries.nu_series(top)
+    want = "".join(f"{n}\t{c}\n" for n, c in enumerate(coeffs) if n >= first)
+    assert run(capsys, "count", "--class", "pnu", f"--{flag}", str(top)) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv, lines", [
+    ("count --class pnu --max-n 100000", [b"0\t1\n"]),
+    ("enumerate --class O --n 60", [b"61" + b",1" * 60 + b"\n"]),
+    # closed as the child starts up, long before it writes; the table waits
+    # in stdout's buffer and fails only at main's flush
+    ("count --class pnu --max-n 5", []),
+], ids=["pnu", "enumerate", "buffered"])
+def test_a_reader_that_stops_early_ends_the_run_quietly(argv, lines):
+    # a reader that reads a line closes while the child is blocked on a full
+    # pipe, so the child's next write fails; a 4 KiB pipe makes that so for
+    # the 46 KB of enumerate too. stdout is buffered, as by default
+    src = Path(oddferrers.cli.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    with subprocess.Popen([sys.executable, "-m", "oddferrers.cli", *argv.split()],
+                          stdout=write_end, stderr=subprocess.PIPE,
+                          env=dict(env, PYTHONPATH=str(src))) as proc:
+        os.close(write_end)
+        with open(read_end, "rb") as reader:
+            assert [reader.readline() for _ in lines] == lines
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (oddferrers.cli.CLOSED_PIPE_EXIT, b"")
 
 
 def test_library_error_exits_1_with_its_class_name(capsys, monkeypatch):
