@@ -22,7 +22,7 @@ import operator
 
 from .errors import MalformedDClass, MalformedDOClass, MalformedSClass, NotDistinctOdd
 from .ferrers import OddFerrersGraph
-from .partitions import Partition, _compose, hook_decompose
+from .partitions import Partition, _compose, _expect, hook_decompose
 
 
 def _s_hooks(arms: tuple[int, ...]) -> tuple[int, ...]:
@@ -57,7 +57,7 @@ def _decode_S(p: Partition) -> tuple[int, ...]:
 
 def _decode_D(p: Partition) -> tuple[int, ...]:
     """The layout sorts its parts, so equality alone accepts 10,3 (arms 2, 3)."""
-    odds = [x for x in p.parts if x % 2]
+    odds = [x for x in _expect(Partition, p).parts if x % 2]
     if len(odds) == 1:
         arms = ((odds[0] + 1) // 2, *[(e + 2) // 4 for e in p.parts if e % 2 == 0])
         if all(map(operator.gt, arms, arms[1:])) and _d_parts(arms) == p.parts:
@@ -69,7 +69,7 @@ def _decode_DO(p: Partition) -> tuple[int, ...]:
     """The parts fall weakly and are positive, so equality forces the arms to
     fall strictly and be positive. A member has an odd number of parts and
     ends in 4a - 3, so any other input is refused before its layout."""
-    parts = p.parts
+    parts = _expect(Partition, p).parts
     if len(parts) % 2 and parts[-1] % 4 == 1:
         arms = ((parts[0] + 3) // 4, *[(x + 1) // 4 for x in parts[1::2]])
         if _do_parts(arms) == parts:
@@ -84,7 +84,7 @@ def phi(g: OddFerrersGraph) -> Partition:
     The outermost weighted hook sum s1 becomes a hook of 2*s1 - 1 cells; every
     interior hook sum s becomes a pair of hooks with s+1 and s-1 cells.
     """
-    return _compose(_s_hooks(hook_decompose(g.shape)))
+    return _compose(_s_hooks(hook_decompose(_expect(OddFerrersGraph, g).shape)))
 
 
 def phi_inverse(p: Partition) -> OddFerrersGraph:
@@ -100,14 +100,15 @@ def sc_to_distinct_odd(p: Partition) -> Partition:
 def distinct_odd_to_sc(p: Partition) -> Partition:
     """Inverse of sc_to_distinct_odd: each distinct odd part c becomes a hook
     of arm (c+1)/2."""
-    if len(set(p.parts)) != len(p.parts) or any(x % 2 == 0 for x in p.parts):
-        raise NotDistinctOdd(p.parts, "is not a partition into distinct odd parts")
-    return _compose([(c + 1) // 2 for c in p.parts])
+    parts = _expect(Partition, p).parts
+    if len(set(parts)) != len(parts) or any(x % 2 == 0 for x in parts):
+        raise NotDistinctOdd(parts, "is not a partition into distinct odd parts")
+    return _compose([(c + 1) // 2 for c in parts])
 
 
 def o_to_d(g: OddFerrersGraph) -> Partition:
     """Weighted hook sums of the graph, as a partition."""
-    return Partition._trusted(_d_parts(hook_decompose(g.shape)))
+    return Partition._trusted(_d_parts(hook_decompose(_expect(OddFerrersGraph, g).shape)))
 
 
 def d_to_o(p: Partition) -> OddFerrersGraph:

@@ -12,7 +12,7 @@ from math import isqrt
 from typing import Iterator
 
 from .ferrers import OddFerrersGraph, graph_weight
-from .partitions import Partition, hooks_compose, is_self_conjugate
+from .partitions import Partition, _expect, hooks_compose, is_self_conjugate
 
 
 class ClassId(Enum):
@@ -25,7 +25,7 @@ class ClassId(Enum):
 def is_in_S(p: Partition, n: int) -> bool:
     """Self-conjugate partition of 4n+1 with every part odd."""
     return (
-        p.weight == 4 * n + 1
+        _expect(Partition, p).weight == 4 * n + 1
         and all(x % 2 == 1 for x in p.parts)
         and is_self_conjugate(p)
     )
@@ -42,7 +42,7 @@ def is_in_D(p: Partition, n: int) -> bool:
 
     A single odd part with no even parts qualifies vacuously.
     """
-    if p.weight != 2 * n + 1:
+    if _expect(Partition, p).weight != 2 * n + 1:
         return False
     if len(set(p.parts)) != len(p.parts):
         return False
@@ -59,7 +59,7 @@ def is_in_DO(p: Partition, n: int) -> bool:
     """Odd number of distinct odd parts summing to 4n+1, alternating between
     the forms 4k+3 and 4k+1 below a 4k+1 head, with each 4k+3/4k+1 pair
     sharing the same k (so paired parts differ by exactly 2)."""
-    parts = p.parts
+    parts = _expect(Partition, p).parts
     if p.weight != 4 * n + 1:
         return False
     if len(parts) % 2 == 0 or len(set(parts)) != len(parts):

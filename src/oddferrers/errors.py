@@ -36,3 +36,8 @@ class MalformedDOClass(OddFerrersError):
 
 class TooLarge(OddFerrersError):
     """The shape to be built has more cells than the package allows."""
+
+
+class Refused(Exception):
+    """A command-line argument that `cli.main` turns into exit 2, like a
+    `TooLarge` input. No library function raises it."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition
+from .partitions import Partition, _expect
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,15 +33,16 @@ class OddFerrersGraph:
 
 def graph_weight(g: OddFerrersGraph) -> int:
     """Total cell weight: 2*cells minus the border cells (first row + first column)."""
-    cells = g.shape.weight
-    border = g.shape.parts[0] + len(g.shape.parts) - 1
+    shape = _expect(OddFerrersGraph, g).shape
+    cells = shape.weight
+    border = shape.parts[0] + len(shape.parts) - 1
     return 2 * cells - border
 
 
 def row_sums(g: OddFerrersGraph) -> tuple[int, ...]:
     """Per-row weight sums, top row first; this is how a graph names a partition."""
     out = []
-    for i, row in enumerate(g.shape.parts):
+    for i, row in enumerate(_expect(OddFerrersGraph, g).shape.parts):
         if i == 0:
             out.append(row)
         else:
@@ -52,5 +53,5 @@ def row_sums(g: OddFerrersGraph) -> tuple[int, ...]:
 
 def render_ascii(g: OddFerrersGraph) -> str:
     """One line per row, each cell printed as its weight digit."""
-    rows = g.shape.parts
+    rows = _expect(OddFerrersGraph, g).shape.parts
     return "\n".join(["1" * rows[0]] + ["1" + "2" * (r - 1) for r in rows[1:]])

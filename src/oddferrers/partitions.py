@@ -46,6 +46,13 @@ class Partition:
         return sum(self.parts)
 
 
+def _expect(cls: type, x):
+    """`x`, if its type is `cls`: each public function's one input type test."""
+    if type(x) is not cls:
+        raise TypeError(f"expected type {cls.__name__}: {x!r}")
+    return x
+
+
 def _hook_arms(parts: tuple[int, ...]) -> list[int] | None:
     """Principal hook arms, outermost first, read in the Frobenius test of row i
     against column i in the Durfee square of side d: O(d), None if one differs."""
@@ -67,13 +74,13 @@ def _hook_arms(parts: tuple[int, ...]) -> list[int] | None:
 
 def is_self_conjugate(p: Partition) -> bool:
     """Row i equals column i for every i inside the Durfee square."""
-    return _hook_arms(p.parts) is not None
+    return _hook_arms(_expect(Partition, p).parts) is not None
 
 
 def hook_decompose(p: Partition) -> tuple[int, ...]:
     """Arms of the principal hooks of a self-conjugate partition, outermost
     first. A hook of arm a is a, 1, 1, ..., 1 as a partition: 2a - 1 cells."""
-    if (arms := _hook_arms(p.parts)) is None:
+    if (arms := _hook_arms(_expect(Partition, p).parts)) is None:
         raise NotSelfConjugate(p.parts, "is not self-conjugate")
     return tuple(arms)
 

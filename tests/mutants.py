@@ -8,7 +8,8 @@ For each row the runner copies the repo, without `.git` and `perfbench/`,
 into a temporary directory, replaces the row's old text in its file with the
 new text, and runs `python -m pytest -q -x -p no:cacheprovider` there with
 PYTHONPATH=src on the test files, named one by one: the mutated module's own
-`tests/test_<stem>.py` first, when there is one, then the rest in name
+`tests/test_<stem>.py` first, when there is one (`tests/test_cli.py` for
+`commands`), then the rest in name
 order, so that a killed row stops in the file most likely to kill it. Pytest
 keeps the order of the files it is given; handed the `tests` directory, it
 would start with `test_acceptance.py` whatever came before. The list leaves
@@ -123,32 +124,41 @@ ROWS = [
     Mutant("src/oddferrers/partitions.py",
            "for i, r in enumerate(parts):", "for i, r in enumerate(parts[:4]):",
            "killed", "the self-conjugacy test reads only the first four rows (PR 13)"),
-    Mutant("src/oddferrers/cli.py", "if top_n > MAX_CLASS_N:", "if top_n > MAX_CLASS_N + 1:",
+    Mutant("src/oddferrers/commands.py", "if top_n > MAX_CLASS_N:", "if top_n > MAX_CLASS_N + 1:",
            "killed", "the CLI walks a class to one index past its cap (PR 19)"),
-    Mutant("src/oddferrers/cli.py", "yield base[n] == wider[n],", "yield True,",
+    Mutant("src/oddferrers/commands.py", "yield base[n] == wider[n],", "yield True,",
            "killed", "verify --checks series passes every coefficient"),
     Mutant("src/oddferrers/cli.py", "except OddFerrersError as exc:", "except ZeroDivisionError as exc:",
            "killed", "a non-member leaves main as a traceback, not as exit 1"),
-    Mutant("src/oddferrers/cli.py", '"counts": (40,', '"counts": (41,',
+    Mutant("src/oddferrers/commands.py", '"counts": (40,', '"counts": (41,',
            "killed", "a bare verify checks the counts to 41"),
-    Mutant("src/oddferrers/cli.py", '"roundtrips": (25,', '"roundtrips": (26,',
+    Mutant("src/oddferrers/commands.py", '"roundtrips": (25,', '"roundtrips": (26,',
            "killed", "a bare verify checks the roundtrips to 26"),
     Mutant("src/oddferrers/cli.py", "from . import qseries\n", "from . import classes, qseries\n",
            "killed", "count --class pnu imports the class walks it never runs"),
-    Mutant("src/oddferrers/cli.py", "if not ok and failures == 0:", "if not ok:",
+    Mutant("src/oddferrers/commands.py", "if not ok and failures == 0:", "if not ok:",
            "killed", "verify names a first counterexample at every failing n"),
-    Mutant("src/oddferrers/cli.py", '_GRAPH_INPUT_MAPS = ("phi", "o_to_d")', '_GRAPH_INPUT_MAPS = ("phi",)',
+    Mutant("src/oddferrers/commands.py", '_GRAPH_INPUT_MAPS = ("phi", "o_to_d")', '_GRAPH_INPUT_MAPS = ("phi",)',
            "killed", "map o-to-d hands its input to o_to_d as a partition, not a graph"),
-    Mutant("src/oddferrers/cli.py",
-           "series = _nu_series(max_n)\n    for n in range(max_n + 1):\n",
-           "for n in range(max_n + 1):\n        series = _nu_series(max_n)\n",
+    Mutant("src/oddferrers/commands.py",
+           "series = qseries.nu_series(max_n)\n    for n in range(max_n + 1):\n",
+           "for n in range(max_n + 1):\n        series = qseries.nu_series(max_n)\n",
            "killed", "verify --checks counts expands the series again at every n"),
-    Mutant("src/oddferrers/cli.py", '"count": len(rows)', '"count": len(rows) + 1',
+    Mutant("src/oddferrers/commands.py", '"count": len(rows)', '"count": len(rows) + 1',
            "killed", "enumerate --format json counts one member too many"),
-    Mutant("src/oddferrers/cli.py", '"weight": ferrers.graph_weight(g)', '"weight": shape.weight',
+    Mutant("src/oddferrers/commands.py", '"weight": ferrers.graph_weight(g)', '"weight": shape.weight',
            "killed", "render --format json gives the cell count, not the graph weight"),
-    Mutant("src/oddferrers/cli.py", '"row_sums": list(ferrers.row_sums(g))', '"row_sums": list(shape.parts)',
+    Mutant("src/oddferrers/commands.py", '"row_sums": list(ferrers.row_sums(g))', '"row_sums": list(shape.parts)',
            "killed", "render --format json gives the row lengths, not the row weights"),
+    Mutant("src/oddferrers/cli.py", "from . import qseries\n", "from . import commands, qseries\n",
+           "killed", "count --class pnu compiles the class-side commands it never runs"),
+    Mutant("src/oddferrers/cli.py",
+           'if args.command == "count" and args.cls == "pnu":', 'if args.command == "count":',
+           "killed", "count of a class prints the series, past the class cap, and walks no class"),
+    Mutant("src/oddferrers/commands.py", "from .errors import Refused, TooLarge\n",
+           "from .errors import TooLarge\n\n\nclass Refused(Exception):\n    pass\n",
+           "killed", "commands raises a refusal class of its own, not errors', so main does not "
+           "catch it and a bad partition is a traceback with exit 1"),
 ]
 
 
@@ -157,8 +167,10 @@ def _limit_address_space():
 
 
 def tier1_files(row: Mutant) -> list[str]:
-    """The tier-1 test files for the row's run, its module's own file first."""
-    own = f"test_{Path(row.path).stem}.py"
+    """The tier-1 test files for the row's run, its module's own file first:
+    `tests/test_cli.py` for `commands`, whose commands run through `cli.main`."""
+    stem = Path(row.path).stem
+    own = f"test_{'cli' if stem == 'commands' else stem}.py"
     names = sorted(p.name for p in (ROOT / "tests").glob("test_*.py"))
     names.remove("test_mutant_table.py")
     return [f"tests/{name}" for name in sorted(names, key=lambda name: name != own)]

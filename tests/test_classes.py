@@ -298,7 +298,10 @@ def test_classes_does_not_reach_bijections_or_qseries():
             todo.extend(_package_imports(name))
     assert "bijections" not in seen and "qseries" not in seen
     # the reader sees both import forms
-    assert {"bijections", "qseries"} <= _package_imports("cli")
+    assert {"bijections", "qseries"} <= _package_imports("commands")
+    # under `python -m oddferrers.cli`, a second import of cli would build a
+    # second refusal class that main does not catch
+    assert "cli" not in _package_imports("commands")
     assert "partitions" in _package_imports("classes")
     # the series shares no code with the enumerators or phi
     assert _package_imports("qseries") == set()

@@ -14,6 +14,7 @@ import pytest
 import oddferrers.bijections
 import oddferrers.classes
 import oddferrers.cli
+import oddferrers.commands
 import oddferrers.qseries
 from oddferrers.classes import ClassId, members
 from oddferrers.cli import main
@@ -29,29 +30,50 @@ def run(capsys, *argv):
     return code, out, err
 
 
-# run in a fresh interpreter, so that no other test has imported a module yet
+# run in a fresh interpreter, so that no other test has imported a module
+# yet, and each command after the package has been removed from sys.modules
 _LOADED_BY_COMMANDS = """
-import contextlib, io, json, sys
-from oddferrers.cli import main
+import contextlib, importlib, io, json, sys
 
 def loaded(argv):
+    for name in [m for m in sys.modules if m.startswith("oddferrers")]:
+        del sys.modules[name]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-    return sorted(m for m in sys.modules if m.startswith("oddferrers."))
+        assert importlib.import_module("oddferrers.cli").main(argv.split()) == 0
+    return sorted(m.removeprefix("oddferrers.") for m in sys.modules if m.startswith("oddferrers."))
 
-print(json.dumps([loaded(["count", "--class", "pnu", "--max-n", "5"]),
-                  loaded(["verify", "--checks", "counts", "--max-n", "3"])]))
+print(json.dumps([loaded(argv) for argv in sys.argv[1:]]))
 """
+
+_WALKS = ["classes", "commands", "ferrers", "partitions"]
+# the modules each command loads beyond cli, errors and qseries
+_MODULES_BY_COMMAND = {
+    "count --class pnu --max-n 5": [],
+    "verify --checks series --max-n 3": ["commands"],
+    "count --class S --n 3": _WALKS,
+    "enumerate --class O --n 3": _WALKS,
+    "verify --checks counts --max-n 3": _WALKS,
+    "verify --checks roundtrips --max-n 3": ["bijections", *_WALKS],
+    "map phi --input 3,3,2": ["bijections", "commands", "ferrers", "partitions"],
+    "render --shape 3,3,2": ["commands", "ferrers", "partitions"],
+}
 
 
 def test_a_command_imports_only_the_modules_it_runs():
     src = Path(oddferrers.cli.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_COMMANDS], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_COMMANDS, *_MODULES_BY_COMMAND],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    series, counts = json.loads(proc.stdout)
-    assert series == ["oddferrers.cli", "oddferrers.errors", "oddferrers.qseries"]
-    assert "oddferrers.classes" in counts and "oddferrers.bijections" not in counts
+    loaded = dict(zip(_MODULES_BY_COMMAND, json.loads(proc.stdout)))
+    assert loaded == {argv: sorted(["cli", "errors", "qseries", *extra])
+                      for argv, extra in _MODULES_BY_COMMAND.items()}
+
+
+def test_verify_expands_no_further_than_the_series_cap():
+    # verify takes the class cap, then expands the series to max-n + 50
+    # without the series cap of `count --class pnu`
+    assert oddferrers.commands.MAX_CLASS_N + 50 <= oddferrers.cli.MAX_SERIES_ORDER
 
 
 def test_each_readme_command_is_a_contract_row():
@@ -225,7 +247,7 @@ def test_class_index_at_cap_is_walked(capsys, monkeypatch, argv):
         return iter(())
 
     monkeypatch.setattr(oddferrers.classes, "_walk", walk)
-    cap = oddferrers.cli.MAX_CLASS_N
+    cap = oddferrers.commands.MAX_CLASS_N
     code, _, err = run(capsys, *argv, str(cap))
     assert (code, err) == (0, "")
     assert walked[-1] == cap
@@ -314,6 +336,19 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "oddferrers.cli", *shlex.split(row.argv)],
                           capture_output=True, text=True, timeout=60)
     assert cli_contract.problems(row, proc.returncode, proc.stdout, proc.stderr) == []
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("map phi --input 3,x", "error: cannot parse partition '3,x'"),
+    ("enumerate --class O --n 151", "error: class index 151 is more than the 150"),
+], ids=["parse", "class-cap"])
+def test_a_refusal_under_python_m_exits_2(argv, err):
+    # run as __main__, cli must catch the refusal class that commands raises
+    src = Path(oddferrers.cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "oddferrers.cli", *argv.split()], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,6 +25,6 @@ def test_a_run_starts_with_the_mutated_module_s_own_tests():
     for row in mutants.ROWS:
         files = mutants.tier1_files(row)
         assert sorted(files) == tier1
-        own = row.path.replace("src/oddferrers/", "tests/test_")
+        own = row.path.replace("src/oddferrers/", "tests/test_").replace("commands", "cli")
         if own in files:
             assert files[0] == own

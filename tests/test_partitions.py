@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddferrers.cli import _Refused, _parse_partition
-from oddferrers.errors import InvalidHookList, NotSelfConjugate, TooLarge
+from oddferrers.commands import _parse_partition
+from oddferrers.errors import InvalidHookList, NotSelfConjugate, Refused, TooLarge
 from oddferrers.partitions import (
     MAX_CELLS,
     Partition,
@@ -61,7 +61,7 @@ class TestConstruction:
     @pytest.mark.parametrize("text", ["3_0", "\u0663", "\uff13", "+3", "-1", "3,,1", "3 1", "0x3", "3.0"])
     def test_text_rejects_non_ascii_digit_tokens(self, text):
         # the comma text form is read only by the CLI's parser
-        with pytest.raises(_Refused, match="cannot parse partition"):
+        with pytest.raises(Refused, match="cannot parse partition"):
             _parse_partition(text)
 
     def test_hook_arm_positive(self):
