@@ -92,7 +92,7 @@ def _verify_counts(max_n: int):
     for n in range(max_n + 1):
         values = {c.value: classes.count(c, n) for c in classes.ClassId}
         values["pnu"] = series[n]
-        yield len(set(values.values())) == 1, " ".join(f"{k}={v}" for k, v in values.items())
+        yield values, None
 
 
 def _verify_roundtrips(max_n: int):
@@ -108,27 +108,27 @@ def _verify_roundtrips(max_n: int):
             images = [forward(x) for x in sources]
             image_texts = sorted(map(_text, images))
             if image_texts != sorted(map(_text, targets)):
-                yield False, f"{name} image differs from its target class: {image_texts}"
+                yield {}, f"{name} image differs from its target class: {image_texts}"
                 break
             lost = next((x for x, y in zip(sources, images) if inverse(y) != x), None)
             if lost is not None:
-                yield False, f"inverse of {name} does not give back {_text(lost)}"
+                yield {}, f"inverse of {name} does not give back {_text(lost)}"
                 break
             # each target y is now forward(x) with inverse(y) = x, so forward(inverse(y)) = y
         else:
-            yield True, ""
+            yield {}, None
 
 
 def _verify_series(max_n: int):
     base, wider = qseries.nu_series(max_n), qseries.nu_series(max_n + 50)
     for n in range(max_n + 1):
-        yield base[n] == wider[n], f"coeff={base[n]} wider={wider[n]}"
+        yield {"coeff": base[n], "wider": wider[n]}, None
 
 
 # verify check -> (default max-n, check), in run order; `cli` offers these
-# names as literals. A check is a generator: it imports its modules and
-# builds its expansions once, when it starts, then yields (ok, detail) for
-# each n from 0 to max-n; counts and roundtrips walk the classes at every n
+# names as literals. A check is a generator that imports its modules and
+# builds its expansions when it starts, then yields per n a record for
+# `cmd_verify` alone to judge: its sources' values by name, and a sentence or None
 _CHECKS = {
     "counts": (40, _verify_counts),
     "roundtrips": (25, _verify_roundtrips),
@@ -143,11 +143,13 @@ def cmd_verify(args) -> int:
             max_n = default_max_n if args.max_n is None else args.max_n
             _check_class_n(max_n)  # before any output, so a refusal prints nothing
             print(f"# {name} 0..{max_n}")
-            for n, (ok, detail) in enumerate(check(max_n)):
-                print(f"{n}\t{'PASS' if ok else 'FAIL'}" + ("" if ok else f"\t{detail}"))
-                if not ok and failures == 0:
-                    print(f"first counterexample: n={n} {detail}")
-                failures += 0 if ok else 1
+            for n, (sources, counterexample) in enumerate(check(max_n)):
+                if counterexample is None and len(set(sources.values())) > 1:
+                    counterexample = " ".join(f"{k}={v}" for k, v in sources.items())
+                print(f"{n}\tPASS" if counterexample is None else f"{n}\tFAIL\t{counterexample}")
+                if counterexample is not None and failures == 0:
+                    print(f"first counterexample: n={n} {counterexample}")
+                failures += counterexample is not None
     return 0 if failures == 0 else 1
 
 

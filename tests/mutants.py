@@ -19,7 +19,8 @@ fails tier-1 as well as this runner. Each run is
 under an address-space limit of CHILD_AS_KIB, so a mutant that drops a size
 cap fails by MemoryError instead of taking the host's memory, and a run
 still going after CHILD_TIMEOUT_S is stopped and counts as a failure: the
-row prints as `killed (timeout)`. The runner exits 1 when
+row prints as `killed (timeout)`. Each row's line gives its time, and the
+last line the total of those times. The runner exits 1 when
 
 - a row's old text does not occur exactly once in its file, so a change to
   the source must update its rows;
@@ -126,7 +127,7 @@ ROWS = [
            "killed", "the self-conjugacy test reads only the first four rows (PR 13)"),
     Mutant("src/oddferrers/commands.py", "if top_n > MAX_CLASS_N:", "if top_n > MAX_CLASS_N + 1:",
            "killed", "the CLI walks a class to one index past its cap (PR 19)"),
-    Mutant("src/oddferrers/commands.py", "yield base[n] == wider[n],", "yield True,",
+    Mutant("src/oddferrers/commands.py", '"wider": wider[n]}', '"wider": base[n]}',
            "killed", "verify --checks series passes every coefficient"),
     Mutant("src/oddferrers/cli.py", "except OddFerrersError as exc:", "except ZeroDivisionError as exc:",
            "killed", "a non-member leaves main as a traceback, not as exit 1"),
@@ -136,7 +137,8 @@ ROWS = [
            "killed", "a bare verify checks the roundtrips to 26"),
     Mutant("src/oddferrers/cli.py", "from . import qseries\n", "from . import classes, qseries\n",
            "killed", "count --class pnu imports the class walks it never runs"),
-    Mutant("src/oddferrers/commands.py", "if not ok and failures == 0:", "if not ok:",
+    Mutant("src/oddferrers/commands.py",
+           "if counterexample is not None and failures == 0:", "if counterexample is not None:",
            "killed", "verify names a first counterexample at every failing n"),
     Mutant("src/oddferrers/commands.py", '_GRAPH_INPUT_MAPS = ("phi", "o_to_d")', '_GRAPH_INPUT_MAPS = ("phi",)',
            "killed", "map o-to-d hands its input to o_to_d as a partition, not a graph"),
@@ -159,6 +161,13 @@ ROWS = [
            "from .errors import TooLarge\n\n\nclass Refused(Exception):\n    pass\n",
            "killed", "commands raises a refusal class of its own, not errors', so main does not "
            "catch it and a bad partition is a traceback with exit 1"),
+    Mutant("src/oddferrers/classes.py", "if type(n) is not int:", "if False:",
+           "killed", "the walks and the predicates take a bool, a float or a str as a class index"),
+    Mutant("src/oddferrers/commands.py", 'values["pnu"] = series[n]', 'values["pnu"] = values["O"]',
+           "killed", "verify --checks counts reads pnu off the O walk, not the series"),
+    Mutant("src/oddferrers/commands.py",
+           "len(set(sources.values())) > 1:", "len(set(sources.values())) > 2:",
+           "killed", "verify passes an n whose sources take two values, as when one walk is off"),
 ]
 
 
@@ -210,11 +219,13 @@ def main() -> int:
     if problems:
         print("\n".join(problems))
         return 1
+    total = 0.0
     for row in ROWS:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory() as workdir:
             killed = tier1_fails(row, Path(workdir))
         seconds = time.perf_counter() - start
+        total += seconds
         outcome = "killed" if killed else "equivalent"
         if seconds >= CHILD_TIMEOUT_S:  # tier1_fails stops a run at the timeout
             outcome += " (timeout)"
@@ -222,6 +233,7 @@ def main() -> int:
         if killed != (row.label == "killed"):
             problems.append(f"labelled {row.label}, but {outcome}: {row.path}: {row.old!r} -> {row.new!r}")
     print("\n".join(problems) or f"all {len(ROWS)} rows at their labels")
+    print(f"total row time {total:.1f} s")
     return 1 if problems else 0
 
 

@@ -166,19 +166,10 @@ class TestCount:
         assert count(ClassId.S, 1) == 1
         assert count(ClassId.O, 5) == count(ClassId.S, 5) == 3
 
-    def test_frozen_small_table(self):
-        # from the naive-scan oracle
-        assert [count(ClassId.S, n) for n in range(13)] == [
-            1, 1, 2, 2, 2, 3, 4, 4, 5, 6, 6, 8, 10,
-        ]
-
     @pytest.mark.parametrize("n", range(21))
     def test_all_classes_agree(self, n):
         values = {count(c, n) for c in ClassId}
         assert len(values) == 1
-
-    def test_s_agrees_with_o_to_60(self):
-        assert [count(ClassId.S, n) for n in range(61)] == [count(ClassId.O, n) for n in range(61)]
 
     @pytest.mark.parametrize("c", list(ClassId))
     def test_each_class_matches_the_series_to_60(self, c):
@@ -255,6 +246,11 @@ class TestCount:
             count(c, n)
         with pytest.raises(TypeError, match="class index must be an int"):
             members(c, n)
+        # the predicates take the same test, so is_in_S(P(1), 0.0) is not index 0
+        predicate, member = {ClassId.O: (is_in_O, OddFerrersGraph(P(1))), ClassId.S: (is_in_S, P(1)),
+                             ClassId.D: (is_in_D, P(1)), ClassId.DO: (is_in_DO, P(1))}[c]
+        with pytest.raises(TypeError, match="class index must be an int"):
+            predicate(member, n)
 
     @pytest.mark.parametrize("c", ["S", "O", None])
     def test_class_that_is_not_a_class_id_is_refused(self, c):

@@ -1,6 +1,7 @@
 """The CLI tests that patch the package, call the library, count calls or
 check usage text; every other CLI fact is a row of `tests/cli_contract.py`."""
 import fcntl
+import itertools
 import json
 import os
 import shlex
@@ -313,6 +314,47 @@ def test_verify_counts_failure_names_the_first_counterexample(capsys, monkeypatc
     assert lines[5] == "first counterexample: n=3 O=2 S=2 D=3 DO=2 pnu=2"
     assert [line.split("\t")[:2] for line in lines[6:]] == [["4", "FAIL"], ["5", "FAIL"]]
     assert out.count("first counterexample:") == 1
+
+
+def test_verify_counts_compares_the_walks_with_the_series(capsys, monkeypatch):
+    # a check that read pnu off a walk would pass with one coefficient wrong
+    real = oddferrers.qseries.nu_series
+
+    def one_wrong(order):
+        return tuple(c + 5 * (n == 3) for n, c in enumerate(real(order)))
+
+    monkeypatch.setattr(oddferrers.qseries, "nu_series", one_wrong)
+    code, out, _ = run(capsys, "verify", "--checks", "counts", "--max-n", "5")
+    assert code == 1
+    assert out.splitlines() == [
+        "# counts 0..5", "0\tPASS", "1\tPASS", "2\tPASS", "3\tFAIL\tO=2 S=2 D=2 DO=2 pnu=7",
+        "first counterexample: n=3 O=2 S=2 D=2 DO=2 pnu=7", "4\tPASS", "5\tPASS"]
+
+
+def test_verify_judges_and_words_every_record(capsys, monkeypatch):
+    # a check only yields records; n passes when there is no counterexample
+    # and every source value is the same, and a sentence beats the sources
+    def toy(max_n):
+        yield {"a": 1, "b": 1}, None
+        yield {"a": 1, "b": 2, "c": 1}, None
+        yield {"a": 1, "b": 2}, "the toy's sentence"
+
+    monkeypatch.setattr(oddferrers.commands, "_CHECKS", {"toy": (2, toy)})
+    assert run(capsys, "verify") == (1, "# toy 0..2\n0\tPASS\n1\tFAIL\ta=1 b=2 c=1\n"
+                                     "first counterexample: n=1 a=1 b=2 c=1\n"
+                                     "2\tFAIL\tthe toy's sentence\n", "")
+
+
+def test_verify_counts_record_names_each_source(monkeypatch):
+    # the S walk loses its first member at n = 7, so S alone is one short
+    walk, member = oddferrers.classes._CLASSES[ClassId.S]
+    monkeypatch.setitem(oddferrers.classes._CLASSES, ClassId.S,
+                        (lambda n: itertools.islice(walk(n), 1 if n == 7 else 0, None), member))
+    sources, counterexample = list(oddferrers.commands._verify_counts(7))[-1]
+    expected = oddferrers.qseries.nu_series(7)[7]
+    assert counterexample is None
+    assert list(sources.items()) == [
+        ("O", expected), ("S", expected - 1), ("D", expected), ("DO", expected), ("pnu", expected)]
 
 
 @pytest.mark.parametrize("name, detail", [
