@@ -1,6 +1,6 @@
-"""Command-line interface: the parser, the exit-code policy and the pnu
-table. The commands that read a partition or walk a class are in `commands`,
-which `main` imports the first time one of them runs."""
+"""Command-line interface: the parser, the size caps, the exit-code policy
+and the pnu table. The commands that read a partition or walk a class are in
+`commands`, which `main` imports the first time one of them runs."""
 from __future__ import annotations
 
 import argparse
@@ -27,6 +27,9 @@ _CHECK_NAMES = ("counts", "roundtrips", "series")
 # `count --class pnu --max-n` takes 2.1-2.7 s and peaks at 33-34 MiB RSS
 # (Python 3.11, 2-core shared x86-64 host)
 MAX_SERIES_ORDER = 10**5
+# the classes grow about tenfold per 50 in n: a walk to 150 takes seconds,
+# and O has about 9*10^7 members at n = 300
+MAX_CLASS_N = 150
 # the pnu table is formatted and written this many lines at a time, so that
 # one block of text at most is in memory beside the series
 _PNU_BLOCK_LINES = 4096
@@ -69,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _pnu_table(args) -> int:
     ns = range(args.max_n + 1) if args.n is None else range(args.n, args.n + 1)
-    if ns[-1] > MAX_SERIES_ORDER:
-        raise TooLarge(f"series order {ns[-1]} is more than the {MAX_SERIES_ORDER} "
-                       "that the CLI expands")
     series = qseries.nu_series(ns[-1])
     for i in range(0, len(ns), _PNU_BLOCK_LINES):
         block = ns[i:i + _PNU_BLOCK_LINES]
@@ -84,11 +84,18 @@ def _pnu_table(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # every bound is refused here, before `commands` loads, so that a
+        # refused index or order compiles none of it
+        series = args.command == "count" and args.cls == "pnu"
+        cap = MAX_SERIES_ORDER if series else MAX_CLASS_N
         for flag in ("n", "max_n"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise Refused(f"{flag.replace('_', '-')} must be nonnegative")
-        if args.command == "count" and args.cls == "pnu":
+            if value is not None and value > cap:
+                what, does = ("series order", "expands") if series else ("class index", "walks")
+                raise Refused(f"{what} {value} is more than the {cap} that the CLI {does}")
+        if series:
             code = _pnu_table(args)
         else:
             from . import commands

@@ -125,8 +125,12 @@ ROWS = [
     Mutant("src/oddferrers/partitions.py",
            "for i, r in enumerate(parts):", "for i, r in enumerate(parts[:4]):",
            "killed", "the self-conjugacy test reads only the first four rows (PR 13)"),
-    Mutant("src/oddferrers/commands.py", "if top_n > MAX_CLASS_N:", "if top_n > MAX_CLASS_N + 1:",
+    Mutant("src/oddferrers/cli.py", "if value is not None and value > cap:",
+           "if value is not None and value > cap + 1:",
            "killed", "the CLI walks a class to one index past its cap (PR 19)"),
+    Mutant("src/oddferrers/cli.py", "cap = MAX_SERIES_ORDER if series else MAX_CLASS_N",
+           "cap = MAX_CLASS_N if series else MAX_SERIES_ORDER",
+           "killed", "the pnu table is refused past order 150, and a class walk only past index 10^5"),
     Mutant("src/oddferrers/commands.py", '"wider": wider[n]}', '"wider": base[n]}',
            "killed", "verify --checks series passes every coefficient"),
     Mutant("src/oddferrers/cli.py", "except OddFerrersError as exc:", "except ZeroDivisionError as exc:",
@@ -155,10 +159,10 @@ ROWS = [
     Mutant("src/oddferrers/cli.py", "from . import qseries\n", "from . import commands, qseries\n",
            "killed", "count --class pnu compiles the class-side commands it never runs"),
     Mutant("src/oddferrers/cli.py",
-           'if args.command == "count" and args.cls == "pnu":', 'if args.command == "count":',
+           'series = args.command == "count" and args.cls == "pnu"', 'series = args.command == "count"',
            "killed", "count of a class prints the series, past the class cap, and walks no class"),
-    Mutant("src/oddferrers/commands.py", "from .errors import Refused, TooLarge\n",
-           "from .errors import TooLarge\n\n\nclass Refused(Exception):\n    pass\n",
+    Mutant("src/oddferrers/commands.py", "from .errors import Refused\n",
+           "\n\nclass Refused(Exception):\n    pass\n",
            "killed", "commands raises a refusal class of its own, not errors', so main does not "
            "catch it and a bad partition is a traceback with exit 1"),
     Mutant("src/oddferrers/classes.py", "if type(n) is not int:", "if False:",
@@ -168,6 +172,11 @@ ROWS = [
     Mutant("src/oddferrers/commands.py",
            "len(set(sources.values())) > 1:", "len(set(sources.values())) > 2:",
            "killed", "verify passes an n whose sources take two values, as when one walk is off"),
+    Mutant("src/oddferrers/commands.py",
+           "if sorted(map(_parts, images)) != sorted(map(_parts, targets)):", "if False:",
+           "killed", "verify --checks roundtrips passes a map whose images are not its target class"),
+    Mutant("src/oddferrers/commands.py", "if lost is not None:", "if False:",
+           "killed", "verify --checks roundtrips passes a map whose inverse does not give its source back"),
 ]
 
 

@@ -39,9 +39,9 @@ import contextlib, importlib, io, json, sys
 def loaded(argv):
     for name in [m for m in sys.modules if m.startswith("oddferrers")]:
         del sys.modules[name]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert importlib.import_module("oddferrers.cli").main(argv.split()) == 0
-    return sorted(m.removeprefix("oddferrers.") for m in sys.modules if m.startswith("oddferrers."))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = importlib.import_module("oddferrers.cli").main(argv.split())
+    return code, sorted(m.removeprefix("oddferrers.") for m in sys.modules if m.startswith("oddferrers."))
 
 print(json.dumps([loaded(argv) for argv in sys.argv[1:]]))
 """
@@ -60,21 +60,38 @@ _MODULES_BY_COMMAND = {
 }
 
 
-def test_a_command_imports_only_the_modules_it_runs():
+def _loaded(argvs) -> dict:
+    """argv -> (exit code, the package modules that main loaded)."""
     src = Path(oddferrers.cli.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_COMMANDS, *_MODULES_BY_COMMAND],
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_COMMANDS, *argvs],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                           timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    loaded = dict(zip(_MODULES_BY_COMMAND, json.loads(proc.stdout)))
-    assert loaded == {argv: sorted(["cli", "errors", "qseries", *extra])
-                      for argv, extra in _MODULES_BY_COMMAND.items()}
+    return {argv: tuple(run) for argv, run in zip(argvs, json.loads(proc.stdout))}
+
+
+def test_a_command_imports_only_the_modules_it_runs():
+    assert _loaded(list(_MODULES_BY_COMMAND)) == {argv: (0, sorted(["cli", "errors", "qseries", *extra]))
+                                                  for argv, extra in _MODULES_BY_COMMAND.items()}
+
+
+# one interpreter each: under `pytest -x`, a walk that a refusal fails to
+# stop (seconds for S at 151) ends the run before roundtrips to 151 (minutes)
+@pytest.mark.parametrize("argv", [
+    "count --class S --n 151", "enumerate --class DO --n 1000000000",
+    "verify --checks roundtrips --max-n 151", "verify --checks series --max-n 151",
+    "count --class O --n -1",
+])
+def test_an_index_or_order_is_refused_before_a_command_module_loads(argv):
+    assert _loaded([argv]) == {argv: (2, ["cli", "errors", "qseries"])}
 
 
 def test_verify_expands_no_further_than_the_series_cap():
-    # verify takes the class cap, then expands the series to max-n + 50
-    # without the series cap of `count --class pnu`
-    assert oddferrers.commands.MAX_CLASS_N + 50 <= oddferrers.cli.MAX_SERIES_ORDER
+    # main holds a given --max-n to the class cap, and nothing checks a
+    # default bound at run time; each check then expands the series to
+    # max-n + 50 without the series cap of `count --class pnu`
+    assert all(bound <= oddferrers.cli.MAX_CLASS_N for bound, _ in oddferrers.commands._CHECKS.values())
+    assert oddferrers.cli.MAX_CLASS_N + 50 <= oddferrers.cli.MAX_SERIES_ORDER
 
 
 def test_each_readme_command_is_a_contract_row():
@@ -248,7 +265,7 @@ def test_class_index_at_cap_is_walked(capsys, monkeypatch, argv):
         return iter(())
 
     monkeypatch.setattr(oddferrers.classes, "_walk", walk)
-    cap = oddferrers.commands.MAX_CLASS_N
+    cap = oddferrers.cli.MAX_CLASS_N
     code, _, err = run(capsys, *argv, str(cap))
     assert (code, err) == (0, "")
     assert walked[-1] == cap
