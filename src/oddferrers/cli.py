@@ -38,6 +38,18 @@ _PNU_BLOCK_LINES = 4096
 CLOSED_PIPE_EXIT = 141
 
 
+def _int(text: str) -> int:
+    """An index or order: ASCII digits 0-9, as in a partition's parts, with
+    whitespace around them. A leading "-" is taken, so that `main` refuses the
+    value as negative; any other sign, an underscore or another digit is a
+    usage error, worded as argparse words one for `type=int`."""
+    digits = text.strip().removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        with contextlib.suppress(ValueError):  # int() refuses more than 4300 digits
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache  # a parser is a cycle of objects only the garbage collector frees
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oddferrers")
@@ -47,12 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--class", dest="cls", required=True,
                          choices=[*_CLASS_NAMES, "pnu"])
     group = p_count.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
-    group.add_argument("--max-n", type=int)
+    group.add_argument("--n", type=_int)
+    group.add_argument("--max-n", type=_int)
 
     p_enum = sub.add_parser("enumerate", help="list class members")
     p_enum.add_argument("--class", dest="cls", required=True, choices=_CLASS_NAMES)
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=_int, required=True)
     p_enum.add_argument("--format", choices=["text", "json"], default="text")
 
     p_map = sub.add_parser("map", help="apply one of the bijections")
@@ -60,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--input", required=True)
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
-    p_verify.add_argument("--max-n", type=int, default=None)
+    p_verify.add_argument("--max-n", type=_int, default=None)
     p_verify.add_argument("--checks", choices=["all", *_CHECK_NAMES], default="all")
 
     p_render = sub.add_parser("render", help="render an odd Ferrers graph")

@@ -25,7 +25,7 @@ class OddFerrersGraph:
         return g
 
     def __post_init__(self):
-        if not isinstance(self.shape, Partition):
+        if type(self.shape) is not Partition:
             raise TypeError(f"shape must be a Partition: {self.shape!r}")
         if not self.shape.parts:
             raise ValueError("odd Ferrers graph shape must be nonempty")

@@ -10,11 +10,13 @@ in the README; where the two disagree, this table is the contract.
 `tests/test_cli.py` runs the rows that are not `slow` in-process through
 `cli.main`; its other tests patch the package, call the library, count calls
 or check usage text. `python tests/cli_contract.py` runs every row through
-the installed `oddferrers` console script, each under its row's timeout.
+the installed `oddferrers` console script, each under its row's timeout, and
+fails at once when that script is not on PATH.
 """
 from __future__ import annotations
 
 import shlex
+import shutil
 import subprocess
 import sys
 from typing import NamedTuple
@@ -55,6 +57,8 @@ ROWS = [
     *(Row(f"count --class pnu --max-n {top}", out=_table(NU[:top + 1])) for top in ORDERS),
     *(Row(f"count --class pnu --n {n}", out=f"{n}\t{NU[n]}\n") for n in ORDERS),
     Row("count --class pnu --max-n 3", out="0\t1\n1\t1\n2\t2\n3\t2\n"),
+    # whitespace around an index is allowed, as around a part
+    Row("count --class pnu --n ' 5'", out="5\t3\n"),
     Row("count --class pnu --max-n 40", tail="40\t191"),
     # the series against itself and against each class walk
     *(Row(f"count --class {c} --max-n 10", out=_table(NU[:11])) for c in ("pnu", "S")),
@@ -191,6 +195,9 @@ def problems(row: Row, code: int, out: str, err: str) -> list[str]:
 
 
 def main() -> int:
+    if shutil.which("oddferrers") is None:
+        print("FAIL the console script oddferrers is not on PATH: install the package first")
+        return 1
     failed = 0
     for row in ROWS:
         try:

@@ -177,6 +177,15 @@ ROWS = [
            "killed", "verify --checks roundtrips passes a map whose images are not its target class"),
     Mutant("src/oddferrers/commands.py", "if lost is not None:", "if False:",
            "killed", "verify --checks roundtrips passes a map whose inverse does not give its source back"),
+    Mutant("src/oddferrers/commands.py", "from . import qseries\n", "from . import cli, qseries\n",
+           "killed", "under python -m, every class-side command loads a second copy of cli"),
+    Mutant("src/oddferrers/commands.py", "if shape.weight > partitions.MAX_CELLS:", "if False:",
+           "killed", "render draws a shape of any size"),
+    Mutant("src/oddferrers/cli.py", "digits.isascii() and digits.isdigit()", "digits.isdigit()",
+           "killed", "--n and --max-n take digits other than 0-9, such as \\u0663"),
+    Mutant("src/oddferrers/ferrers.py", "if type(self.shape) is not Partition:",
+           "if not isinstance(self.shape, Partition):",
+           "killed", "a graph is built on a Partition subclass that every map then refuses"),
 ]
 
 

@@ -1,5 +1,11 @@
 """The CLI tests that patch the package, call the library, count calls or
-check usage text; every other CLI fact is a row of `tests/cli_contract.py`."""
+check usage text; every other CLI fact is a row of `tests/cli_contract.py`.
+
+A check that starts the CLI in an interpreter of its own goes through
+`_loaded`, which runs each argv as `python -m oddferrers.cli` runs it, with
+`cli` as `__main__`, and gives its exit code, output and loaded modules.
+Only the closed-pipe test starts `python -m` itself, since it needs a real
+pipe."""
 import fcntl
 import itertools
 import json
@@ -32,22 +38,30 @@ def run(capsys, *argv):
 
 
 # run in a fresh interpreter, so that no other test has imported a module
-# yet, and each command after the package has been removed from sys.modules
-_LOADED_BY_COMMANDS = """
-import contextlib, importlib, io, json, sys
+# yet, and each argv after the package has been removed from sys.modules.
+# Each runs as `python -m oddferrers.cli` does (PEP 338): `cli` is
+# `__main__`, so a module that imports `oddferrers.cli` loads a second copy
+_RUN_AS_MAIN = """
+import contextlib, io, json, runpy, shlex, sys
 
-def loaded(argv):
+def run(argv):
     for name in [m for m in sys.modules if m.startswith("oddferrers")]:
         del sys.modules[name]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = importlib.import_module("oddferrers.cli").main(argv.split())
-    return code, sorted(m.removeprefix("oddferrers.") for m in sys.modules if m.startswith("oddferrers."))
+    sys.argv = ["oddferrers", *shlex.split(argv)]
+    out, err, code = io.StringIO(), io.StringIO(), None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("oddferrers.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+    modules = sorted(m.removeprefix("oddferrers.") for m in sys.modules if m.startswith("oddferrers."))
+    return code, out.getvalue(), err.getvalue(), modules
 
-print(json.dumps([loaded(argv) for argv in sys.argv[1:]]))
+print(json.dumps([run(argv) for argv in sys.argv[1:]]))
 """
 
 _WALKS = ["classes", "commands", "ferrers", "partitions"]
-# the modules each command loads beyond cli, errors and qseries
+# the modules each command loads beyond errors and qseries
 _MODULES_BY_COMMAND = {
     "count --class pnu --max-n 5": [],
     "verify --checks series --max-n 3": ["commands"],
@@ -61,18 +75,24 @@ _MODULES_BY_COMMAND = {
 
 
 def _loaded(argvs) -> dict:
-    """argv -> (exit code, the package modules that main loaded)."""
+    """argv -> (exit code, stdout, stderr, the package modules loaded), each
+    run as `python -m oddferrers.cli` runs it."""
     src = Path(oddferrers.cli.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_COMMANDS, *argvs],
+    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN, *argvs],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                           timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     return {argv: tuple(run) for argv, run in zip(argvs, json.loads(proc.stdout))}
 
 
+def _row(argv) -> cli_contract.Row:
+    return next(row for row in cli_contract.ROWS if row.argv == argv)
+
+
 def test_a_command_imports_only_the_modules_it_runs():
-    assert _loaded(list(_MODULES_BY_COMMAND)) == {argv: (0, sorted(["cli", "errors", "qseries", *extra]))
-                                                  for argv, extra in _MODULES_BY_COMMAND.items()}
+    runs = _loaded(list(_MODULES_BY_COMMAND))
+    assert {argv: (code, err, modules) for argv, (code, _, err, modules) in runs.items()} == {
+        argv: (0, "", sorted(["errors", "qseries", *extra])) for argv, extra in _MODULES_BY_COMMAND.items()}
 
 
 # one interpreter each: under `pytest -x`, a walk that a refusal fails to
@@ -83,7 +103,8 @@ def test_a_command_imports_only_the_modules_it_runs():
     "count --class O --n -1",
 ])
 def test_an_index_or_order_is_refused_before_a_command_module_loads(argv):
-    assert _loaded([argv]) == {argv: (2, ["cli", "errors", "qseries"])}
+    code, out, err, modules = _loaded([argv])[argv]
+    assert (code, out, modules) == (2, "", ["errors", "qseries"]) and err.startswith("error: ")
 
 
 def test_verify_expands_no_further_than_the_series_cap():
@@ -184,7 +205,7 @@ def test_pnu_table_is_the_library_s_series_across_blocks(capsys, flag, top):
 
 
 @pytest.mark.parametrize("argv, lines", [
-    ("count --class pnu --max-n 100000", [b"0\t1\n"]),
+    ("count --class pnu --max-n 10000", [b"0\t1\n"]),
     ("enumerate --class O --n 60", [b"61" + b",1" * 60 + b"\n"]),
     # closed as the child starts up, long before it writes; the table waits
     # in stdout's buffer and fails only at main's flush
@@ -254,6 +275,13 @@ def test_cli_contract(capsys, monkeypatch, row):
     out, err = capsys.readouterr()
     assert cli_contract.problems(row, code, out, err) == []
     assert peak < 2**20
+
+
+def test_the_contract_script_fails_at_once_without_the_console_script(capsys, monkeypatch):
+    monkeypatch.setenv("PATH", "")
+    assert cli_contract.main() == 1
+    assert capsys.readouterr() == (
+        "FAIL the console script oddferrers is not on PATH: install the package first\n", "")
 
 
 @pytest.mark.parametrize("argv", _CLASS_WALKS, ids=_CLASS_WALK_IDS)
@@ -391,41 +419,43 @@ def test_verify_roundtrips_failure_exits_1(capsys, monkeypatch, name, detail):
 
 def test_console_entry_point():
     # `python -m oddferrers.cli` reaches main through the module's __main__ guard
-    row = next(row for row in cli_contract.ROWS if row.argv == "map phi --input 3,3,2")
-    proc = subprocess.run([sys.executable, "-m", "oddferrers.cli", *shlex.split(row.argv)],
-                          capture_output=True, text=True, timeout=60)
-    assert cli_contract.problems(row, proc.returncode, proc.stdout, proc.stderr) == []
-
-
-@pytest.mark.parametrize("argv, err", [
-    ("map phi --input 3,x", "error: cannot parse partition '3,x'"),
-    ("enumerate --class O --n 151", "error: class index 151 is more than the 150"),
-], ids=["parse", "class-cap"])
-def test_a_refusal_under_python_m_exits_2(argv, err):
-    # run as __main__, cli must catch the refusal class that commands raises
-    src = Path(oddferrers.cli.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-m", "oddferrers.cli", *argv.split()], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1
+    row = _row("map phi --input 3,3,2")
+    code, out, err, _ = _loaded([row.argv])[row.argv]
+    assert cli_contract.problems(row, code, out, err) == []
 
 
 @pytest.mark.parametrize("argv", [
-    [],
-    ["count"],
-    ["count", "--class", "X", "--n", "1"],
-    ["map", "nope", "--input", "1"],
-    ["count", "--class", "O", "--max-n", "x"],
-    ["enumerate", "--class", "O"],
-    ["render"],
-    ["map", "phi", "--check", "--input", "3,3,2"],
-    ["count", "--class", "S", "--n", "1", "--max-n", "2"],
-])
-def test_malformed_arguments_print_usage_and_exit_2(capsys, argv):
+    "map phi --input 3,x", "enumerate --class O --n 1000000", "render --shape 999999,2",
+], ids=["parse", "class-cap", "render-cap"])
+def test_a_refusal_under_python_m_exits_2(argv):
+    # run as __main__, cli must catch the refusal class that it or commands raises
+    code, out, err, _ = _loaded([argv])[argv]
+    assert cli_contract.problems(_row(argv), code, out, err) == [] and err.count("\n") == 1
+
+
+_MALFORMED = [
+    ([], "the following arguments are required: command"),
+    (["count"], "the following arguments are required: --class"),
+    (["count", "--class", "X", "--n", "1"], "argument --class: invalid choice: 'X'"),
+    (["map", "nope", "--input", "1"], "argument name: invalid choice: 'nope'"),
+    (["count", "--class", "O", "--max-n", "x"], "argument --max-n: invalid int value: 'x'"),
+    (["enumerate", "--class", "O"], "the following arguments are required: --n"),
+    (["render"], "the following arguments are required: --shape"),
+    (["map", "phi", "--check", "--input", "3,3,2"], "unrecognized arguments: --check"),
+    (["count", "--class", "S", "--n", "1", "--max-n", "2"], "argument --max-n: not allowed with argument --n"),
+    # an index or order is ASCII digits, as a part is; int() alone takes
+    # these three, and refuses more than 4300 digits with its own message
+    *((["count", "--class", "pnu", "--n", text], f"argument --n: invalid int value: {text!r}")
+      for text in ("\u0663", "1_0", "+3", "9" * 5000)),
+]
+
+
+@pytest.mark.parametrize("argv, message", _MALFORMED, ids=[f"argv{i}" for i in range(len(_MALFORMED))])
+def test_malformed_arguments_print_usage_and_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     lines = err.splitlines()
     assert lines[0].startswith("usage: oddferrers")
-    assert lines[-1].startswith("oddferrers") and ": error: " in lines[-1]
+    assert lines[-1].startswith("oddferrers") and f": error: {message}" in lines[-1]

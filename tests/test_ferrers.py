@@ -37,7 +37,12 @@ def test_empty_shape_rejected():
         OddFerrersGraph(Partition())
 
 
-@pytest.mark.parametrize("shape", [(3, 3, 2), [3, 3, 2], None])
+class _SubPartition(Partition):
+    pass
+
+
+# a subclass too, since every map tests its input's exact type
+@pytest.mark.parametrize("shape", [(3, 3, 2), [3, 3, 2], None, _SubPartition((3, 3, 2))])
 def test_shape_that_is_not_a_partition_is_refused(shape):
     with pytest.raises(TypeError, match="shape must be a Partition"):
         OddFerrersGraph(shape)
