@@ -7,7 +7,8 @@ needs only the series does not compile the class walks and the maps."""
 
 from importlib import import_module
 
-# public name -> the submodule that defines it, in the order of __all__
+# public name -> the submodule that defines it, in the order of __all__; `cli`
+# offers the bijections' names, with dashes, in this order
 _SOURCES = {
     "Partition": "partitions", "is_self_conjugate": "partitions",
     "hook_decompose": "partitions", "hooks_compose": "partitions",
@@ -17,12 +18,12 @@ _SOURCES = {
     "is_in_D": "classes", "is_in_DO": "classes",
     "members": "classes", "count": "classes",
     "phi": "bijections", "phi_inverse": "bijections",
-    "sc_to_distinct_odd": "bijections", "distinct_odd_to_sc": "bijections",
     "o_to_d": "bijections", "d_to_o": "bijections",
     "d_to_do": "bijections", "do_to_d": "bijections",
+    "sc_to_distinct_odd": "bijections", "distinct_odd_to_sc": "bijections",
     "nu_series": "qseries",
 }
-_SUBMODULES = {*_SOURCES.values(), "errors"}
+_SUBMODULES = {*_SOURCES.values(), "errors", "cli", "commands"}
 
 __all__ = list(_SOURCES)
 

@@ -22,16 +22,10 @@ class ClassId(Enum):
     DO = "DO"
 
 
-def _index(n: int) -> int:
-    if type(n) is not int:  # a bool or a float would walk or be judged, or fail deep inside
-        raise TypeError(f"class index must be an int: {n!r}")
-    return n
-
-
 def is_in_S(p: Partition, n: int) -> bool:
     """Self-conjugate partition of 4n+1 with every part odd."""
     return (
-        _expect(Partition, p).weight == 4 * _index(n) + 1
+        _expect(Partition, p).weight == 4 * _expect(int, n) + 1
         and all(x % 2 == 1 for x in p.parts)
         and is_self_conjugate(p)
     )
@@ -39,7 +33,7 @@ def is_in_S(p: Partition, n: int) -> bool:
 
 def is_in_O(g: OddFerrersGraph, n: int) -> bool:
     """Self-conjugate odd Ferrers graph of total weight 2n+1."""
-    return graph_weight(g) == 2 * _index(n) + 1 and is_self_conjugate(g.shape)
+    return graph_weight(g) == 2 * _expect(int, n) + 1 and is_self_conjugate(g.shape)
 
 
 def is_in_D(p: Partition, n: int) -> bool:
@@ -48,7 +42,7 @@ def is_in_D(p: Partition, n: int) -> bool:
 
     A single odd part with no even parts qualifies vacuously.
     """
-    if _expect(Partition, p).weight != 2 * _index(n) + 1:
+    if _expect(Partition, p).weight != 2 * _expect(int, n) + 1:
         return False
     if len(set(p.parts)) != len(p.parts):
         return False
@@ -66,7 +60,7 @@ def is_in_DO(p: Partition, n: int) -> bool:
     the forms 4k+3 and 4k+1 below a 4k+1 head, with each 4k+3/4k+1 pair
     sharing the same k (so paired parts differ by exactly 2)."""
     parts = _expect(Partition, p).parts
-    if p.weight != 4 * _index(n) + 1:
+    if p.weight != 4 * _expect(int, n) + 1:
         return False
     if len(parts) % 2 == 0 or len(set(parts)) != len(parts):
         return False
@@ -221,9 +215,10 @@ _CLASSES = {
 
 
 def _walk(c: ClassId, n: int):
-    if type(c) is not ClassId:  # a name like "S" would fail as a bare KeyError
-        raise TypeError(f"class must be a ClassId: {c!r}")
-    return _CLASSES[c][0](n) if _index(n) >= 0 else ()  # no partition has a negative weight
+    # exact types: a name like "S" would fail as a bare KeyError, and a bool
+    # or a float index would walk or be judged, or fail deep inside
+    _expect(ClassId, c)
+    return _CLASSES[c][0](n) if _expect(int, n) >= 0 else ()  # no partition has a negative weight
 
 
 def members(c: ClassId, n: int) -> list:

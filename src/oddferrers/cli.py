@@ -9,18 +9,15 @@ import functools
 import sys
 from itertools import chain
 
-from . import qseries
+from . import _SOURCES, qseries
 from .errors import OddFerrersError, Refused, TooLarge
 
 # Each command imports the modules it runs when it starts, so that the
-# series alone does not compile the class walks and the maps. The names
-# that argparse offers are written out here for the same reason: the ClassId
-# values, the bijections' names in `bijections`, offered with dashes, and
-# the keys of `commands._CHECKS`.
+# series alone does not compile the class walks and the maps. So the ClassId
+# values that argparse offers are written out here, and the map names are
+# read from the package's name table, which is loaded already
 _CLASS_NAMES = ("O", "S", "D", "DO")
-_MAPS = ("phi", "phi_inverse", "o_to_d", "d_to_o", "d_to_do", "do_to_d",
-         "sc_to_distinct_odd", "distinct_odd_to_sc")
-_CHECK_NAMES = ("counts", "roundtrips", "series")
+_MAPS = [name.replace("_", "-") for name, module in _SOURCES.items() if module == "bijections"]
 
 # nu_series divides each level by residue-class running sums or by blocks of e,
 # and its last level holds the old and the new coefficients at once: at 10^5,
@@ -30,6 +27,8 @@ MAX_SERIES_ORDER = 10**5
 # the classes grow about tenfold per 50 in n: a walk to 150 takes seconds,
 # and O has about 9*10^7 members at n = 300
 MAX_CLASS_N = 150
+# verify check -> its default max-n, in run order; `commands._verify_<name>` runs it
+_CHECKS = {"counts": 40, "roundtrips": 25, "series": 40}
 # the pnu table is formatted and written this many lines at a time, so that
 # one block of text at most is in memory beside the series
 _PNU_BLOCK_LINES = 4096
@@ -68,12 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--format", choices=["text", "json"], default="text")
 
     p_map = sub.add_parser("map", help="apply one of the bijections")
-    p_map.add_argument("name", choices=[name.replace("_", "-") for name in _MAPS])
+    p_map.add_argument("name", choices=_MAPS)
     p_map.add_argument("--input", required=True)
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
     p_verify.add_argument("--max-n", type=_int, default=None)
-    p_verify.add_argument("--checks", choices=["all", *_CHECK_NAMES], default="all")
+    p_verify.add_argument("--checks", choices=["all", *_CHECKS], default="all")
 
     p_render = sub.add_parser("render", help="render an odd Ferrers graph")
     p_render.add_argument("--shape", required=True)
@@ -107,6 +106,9 @@ def main(argv=None) -> int:
             if value is not None and value > cap:
                 what, does = ("series order", "expands") if series else ("class index", "walks")
                 raise Refused(f"{what} {value} is more than the {cap} that the CLI {does}")
+        if args.command == "verify":  # each check that runs -> its bound
+            args.bounds = {name: bound if args.max_n is None else args.max_n
+                           for name, bound in _CHECKS.items() if args.checks in ("all", name)}
         if series:
             code = _pnu_table(args)
         else:

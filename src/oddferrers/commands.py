@@ -1,7 +1,7 @@
 """The commands that read a partition or walk a class, which `cli.main`
 imports the first time one runs. Nothing here imports `cli`: run as
 `python -m oddferrers.cli`, `cli` is `__main__`, and a second import of it
-would build a second refusal class that `main` does not catch."""
+would compile and run all of `cli` a second time."""
 from __future__ import annotations
 
 import json
@@ -114,30 +114,22 @@ def _verify_series(max_n: int):
         yield {"coeff": base[n], "wider": wider[n]}, None
 
 
-# verify check -> (default max-n, check), in run order; `cli` offers these
-# names as literals. A check is a generator that imports its modules and
-# builds its expansions when it starts, then yields per n a record for
-# `cmd_verify` alone to judge: its sources' values by name, and a sentence or None
-_CHECKS = {
-    "counts": (40, _verify_counts),
-    "roundtrips": (25, _verify_roundtrips),
-    "series": (40, _verify_series),
-}
-
-
 def cmd_verify(args) -> int:
+    """Runs `_verify_<name>` to its bound for each check in `args.bounds`, which
+    `cli.main` resolves from `cli._CHECKS`. A check is a generator that imports
+    its modules and builds its expansions when it starts, then yields per n a
+    record for this loop alone to judge: its sources' values by name, and a
+    sentence or None."""
     failures = 0
-    for name, (default_max_n, check) in _CHECKS.items():
-        if args.checks in ("all", name):
-            max_n = default_max_n if args.max_n is None else args.max_n
-            print(f"# {name} 0..{max_n}")
-            for n, (sources, counterexample) in enumerate(check(max_n)):
-                if counterexample is None and len(set(sources.values())) > 1:
-                    counterexample = " ".join(f"{k}={v}" for k, v in sources.items())
-                print(f"{n}\tPASS" if counterexample is None else f"{n}\tFAIL\t{counterexample}")
-                if counterexample is not None and failures == 0:
-                    print(f"first counterexample: n={n} {counterexample}")
-                failures += counterexample is not None
+    for name, max_n in args.bounds.items():
+        print(f"# {name} 0..{max_n}")
+        for n, (sources, counterexample) in enumerate(globals()[f"_verify_{name}"](max_n)):
+            if counterexample is None and len(set(sources.values())) > 1:
+                counterexample = " ".join(f"{k}={v}" for k, v in sources.items())
+            print(f"{n}\tPASS" if counterexample is None else f"{n}\tFAIL\t{counterexample}")
+            if counterexample is not None and failures == 0:
+                print(f"first counterexample: n={n} {counterexample}")
+            failures += counterexample is not None
     return 0 if failures == 0 else 1
 
 

@@ -25,9 +25,7 @@ class OddFerrersGraph:
         return g
 
     def __post_init__(self):
-        if type(self.shape) is not Partition:
-            raise TypeError(f"shape must be a Partition: {self.shape!r}")
-        if not self.shape.parts:
+        if not _expect(Partition, self.shape).parts:
             raise ValueError("odd Ferrers graph shape must be nonempty")
 
 

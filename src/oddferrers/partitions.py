@@ -47,7 +47,7 @@ class Partition:
 
 
 def _expect(cls: type, x):
-    """`x`, if its type is `cls`: each public function's one input type test."""
+    """`x`, if its type is `cls`: the package's one input type test."""
     if type(x) is not cls:
         raise TypeError(f"expected type {cls.__name__}: {x!r}")
     return x

@@ -61,7 +61,7 @@ ROWS = [
     Row("count --class pnu --n ' 5'", out="5\t3\n"),
     Row("count --class pnu --max-n 40", tail="40\t191"),
     # the series against itself and against each class walk
-    *(Row(f"count --class {c} --max-n 10", out=_table(NU[:11])) for c in ("pnu", "S")),
+    *(Row(f"count --class {c} --max-n 10", out=_table(NU[:11])) for c in ("pnu", "O", "S", "D", "DO")),
     Row("count --class S --n 0", out="0\t1\n"),
     Row("count --class S --n 5", out="5\t3\n"),
     Row("count --class pnu --max-n 10000", timeout=60,
@@ -84,6 +84,10 @@ ROWS = [
         out='{"class": "S", "n": 1, "count": 1, "members": [[3, 1, 1]]}\n'),
     Row("enumerate --class O --n 5 --format json", out='{"class": "O", "n": 5, "count": 3, '
         '"members": [[6, 1, 1, 1, 1, 1], [5, 2, 1, 1, 1], [3, 3, 2]]}\n'),
+    Row("enumerate --class D --n 5", out="11\n9,2\n6,5\n"),
+    Row("enumerate --class DO --n 5", out="21\n17,3,1\n9,7,5\n"),
+    Row("enumerate --class D --n 5 --format json",
+        out='{"class": "D", "n": 5, "count": 3, "members": [[11], [9, 2], [6, 5]]}\n'),
 
     # every check in run order; the bare verify has the documented default bounds
     Row("verify --max-n 5", out=_passes(counts=5, roundtrips=5, series=5)),

@@ -9,7 +9,7 @@ into a temporary directory, replaces the row's old text in its file with the
 new text, and runs `python -m pytest -q -x -p no:cacheprovider` there with
 PYTHONPATH=src on the test files, named one by one: the mutated module's own
 `tests/test_<stem>.py` first, when there is one (`tests/test_cli.py` for
-`commands`), then the rest in name
+`commands`, `tests/test_namespace.py` for `__init__`), then the rest in name
 order, so that a killed row stops in the file most likely to kill it. Pytest
 keeps the order of the files it is given; handed the `tests` directory, it
 would start with `test_acceptance.py` whatever came before. The list leaves
@@ -135,11 +135,11 @@ ROWS = [
            "killed", "verify --checks series passes every coefficient"),
     Mutant("src/oddferrers/cli.py", "except OddFerrersError as exc:", "except ZeroDivisionError as exc:",
            "killed", "a non-member leaves main as a traceback, not as exit 1"),
-    Mutant("src/oddferrers/commands.py", '"counts": (40,', '"counts": (41,',
+    Mutant("src/oddferrers/cli.py", '"counts": 40,', '"counts": 41,',
            "killed", "a bare verify checks the counts to 41"),
-    Mutant("src/oddferrers/commands.py", '"roundtrips": (25,', '"roundtrips": (26,',
+    Mutant("src/oddferrers/cli.py", '"roundtrips": 25,', '"roundtrips": 26,',
            "killed", "a bare verify checks the roundtrips to 26"),
-    Mutant("src/oddferrers/cli.py", "from . import qseries\n", "from . import classes, qseries\n",
+    Mutant("src/oddferrers/cli.py", "from . import _SOURCES, qseries\n", "from . import _SOURCES, classes, qseries\n",
            "killed", "count --class pnu imports the class walks it never runs"),
     Mutant("src/oddferrers/commands.py",
            "if counterexample is not None and failures == 0:", "if counterexample is not None:",
@@ -156,7 +156,7 @@ ROWS = [
            "killed", "render --format json gives the cell count, not the graph weight"),
     Mutant("src/oddferrers/commands.py", '"row_sums": list(ferrers.row_sums(g))', '"row_sums": list(shape.parts)',
            "killed", "render --format json gives the row lengths, not the row weights"),
-    Mutant("src/oddferrers/cli.py", "from . import qseries\n", "from . import commands, qseries\n",
+    Mutant("src/oddferrers/cli.py", "from . import _SOURCES, qseries\n", "from . import _SOURCES, commands, qseries\n",
            "killed", "count --class pnu compiles the class-side commands it never runs"),
     Mutant("src/oddferrers/cli.py",
            'series = args.command == "count" and args.cls == "pnu"', 'series = args.command == "count"',
@@ -165,8 +165,8 @@ ROWS = [
            "\n\nclass Refused(Exception):\n    pass\n",
            "killed", "commands raises a refusal class of its own, not errors', so main does not "
            "catch it and a bad partition is a traceback with exit 1"),
-    Mutant("src/oddferrers/classes.py", "if type(n) is not int:", "if False:",
-           "killed", "the walks and the predicates take a bool, a float or a str as a class index"),
+    Mutant("src/oddferrers/classes.py", "if _expect(int, n) >= 0 else ()", "if n >= 0 else ()",
+           "killed", "the walks take a bool or a float as a class index"),
     Mutant("src/oddferrers/commands.py", 'values["pnu"] = series[n]', 'values["pnu"] = values["O"]',
            "killed", "verify --checks counts reads pnu off the O walk, not the series"),
     Mutant("src/oddferrers/commands.py",
@@ -183,9 +183,14 @@ ROWS = [
            "killed", "render draws a shape of any size"),
     Mutant("src/oddferrers/cli.py", "digits.isascii() and digits.isdigit()", "digits.isdigit()",
            "killed", "--n and --max-n take digits other than 0-9, such as \\u0663"),
-    Mutant("src/oddferrers/ferrers.py", "if type(self.shape) is not Partition:",
-           "if not isinstance(self.shape, Partition):",
-           "killed", "a graph is built on a Partition subclass that every map then refuses"),
+    Mutant("src/oddferrers/partitions.py", "if type(x) is not cls:", "if not isinstance(x, cls):",
+           "killed", "a graph is built on a Partition subclass, and a class index may be a bool"),
+    Mutant("src/oddferrers/cli.py", 'if module == "bijections"]', 'if module == "classes"]',
+           "killed", "map offers the class predicates' names, not the bijections'"),
+    Mutant("src/oddferrers/cli.py", "bound if args.max_n is None else args.max_n", "bound",
+           "killed", "verify --max-n runs each check to its default bound"),
+    Mutant("src/oddferrers/__init__.py", '"errors", "cli", "commands"}', '"errors"}',
+           "killed", "oddferrers.cli and oddferrers.commands are not attributes of the package"),
 ]
 
 
@@ -193,11 +198,16 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_KIB * 1024, CHILD_AS_KIB * 1024))
 
 
+# module stem -> the stem of its own test file, where the two differ
+_OWN_TESTS = {"commands": "cli", "__init__": "namespace"}
+
+
 def tier1_files(row: Mutant) -> list[str]:
     """The tier-1 test files for the row's run, its module's own file first:
-    `tests/test_cli.py` for `commands`, whose commands run through `cli.main`."""
+    `tests/test_cli.py` for `commands`, whose commands run through `cli.main`,
+    and `tests/test_namespace.py` for the package's `__init__`."""
     stem = Path(row.path).stem
-    own = f"test_{'cli' if stem == 'commands' else stem}.py"
+    own = f"test_{_OWN_TESTS.get(stem, stem)}.py"
     names = sorted(p.name for p in (ROOT / "tests").glob("test_*.py"))
     names.remove("test_mutant_table.py")
     return [f"tests/{name}" for name in sorted(names, key=lambda name: name != own)]

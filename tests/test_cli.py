@@ -111,7 +111,7 @@ def test_verify_expands_no_further_than_the_series_cap():
     # main holds a given --max-n to the class cap, and nothing checks a
     # default bound at run time; each check then expands the series to
     # max-n + 50 without the series cap of `count --class pnu`
-    assert all(bound <= oddferrers.cli.MAX_CLASS_N for bound, _ in oddferrers.commands._CHECKS.values())
+    assert all(bound <= oddferrers.cli.MAX_CLASS_N for bound in oddferrers.cli._CHECKS.values())
     assert oddferrers.cli.MAX_CLASS_N + 50 <= oddferrers.cli.MAX_SERIES_ORDER
 
 
@@ -384,7 +384,8 @@ def test_verify_judges_and_words_every_record(capsys, monkeypatch):
         yield {"a": 1, "b": 2, "c": 1}, None
         yield {"a": 1, "b": 2}, "the toy's sentence"
 
-    monkeypatch.setattr(oddferrers.commands, "_CHECKS", {"toy": (2, toy)})
+    monkeypatch.setattr(oddferrers.cli, "_CHECKS", {"toy": 2})
+    monkeypatch.setattr(oddferrers.commands, "_verify_toy", toy, raising=False)
     assert run(capsys, "verify") == (1, "# toy 0..2\n0\tPASS\n1\tFAIL\ta=1 b=2 c=1\n"
                                      "first counterexample: n=1 a=1 b=2 c=1\n"
                                      "2\tFAIL\tthe toy's sentence\n", "")

@@ -44,7 +44,7 @@ class _SubPartition(Partition):
 # a subclass too, since every map tests its input's exact type
 @pytest.mark.parametrize("shape", [(3, 3, 2), [3, 3, 2], None, _SubPartition((3, 3, 2))])
 def test_shape_that_is_not_a_partition_is_refused(shape):
-    with pytest.raises(TypeError, match="shape must be a Partition"):
+    with pytest.raises(TypeError, match="expected type Partition"):
         OddFerrersGraph(shape)
 
 

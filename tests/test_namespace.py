@@ -2,7 +2,13 @@
 first read. That the CLI imports only the modules that a command runs is
 tested in `tests/test_cli.py`, so a mutant of `cli` stops in its own file.
 Every public callable refuses a value of the wrong type with `TypeError`."""
+import argparse
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,13 +34,41 @@ def test_every_public_name_resolves():
         oddferrers.nope
 
 
+# each stem is read in a fresh interpreter, since an import binds a submodule
+# on the package, and tier-1 has imported them all
+_READ_EACH_SUBMODULE = """
+import json, sys
+import oddferrers
+
+stems = sys.argv[1:]
+listed = [stem for stem in stems if stem in dir(oddferrers)]
+resolved = [stem for stem in stems
+            if getattr(getattr(oddferrers, stem, None), "__name__", None) == f"oddferrers.{stem}"]
+print(json.dumps([listed, resolved]))
+"""
+
+
+def test_every_submodule_is_a_lazy_attribute():
+    src = Path(oddferrers.__file__).resolve().parent
+    stems = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    proc = subprocess.run([sys.executable, "-c", _READ_EACH_SUBMODULE, *stems],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src.parent)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [stems, stems]
+
+
 def test_cli_names_are_the_library_names():
     # argparse offers these before the modules that define them are imported
     assert cli._CLASS_NAMES == tuple(c.value for c in ClassId)
-    assert cli._CHECK_NAMES == tuple(commands._CHECKS)
-    maps = set(cli._MAPS)
-    assert maps == {name for name in oddferrers.__all__
-                    if getattr(oddferrers, name).__module__ == bijections.__name__}
+    assert all(callable(getattr(commands, f"_verify_{name}", None)) for name in cli._CHECKS)
+    # the map names in the order that the usage and help text give them
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    maps = next(a for a in sub.choices["map"]._actions if a.dest == "name").choices
+    assert list(maps) == ["phi", "phi-inverse", "o-to-d", "d-to-o", "d-to-do", "do-to-d",
+                          "sc-to-distinct-odd", "distinct-odd-to-sc"]
+    assert {name.replace("-", "_") for name in maps} == {
+        name for name in oddferrers.__all__ if getattr(oddferrers, name).__module__ == bijections.__name__}
 
 
 # each probe once raised AttributeError from inside the map, on a missing
