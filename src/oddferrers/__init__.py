@@ -16,7 +16,7 @@ _SOURCES = {
     "row_sums": "ferrers", "render_ascii": "ferrers",
     "ClassId": "classes", "is_in_O": "classes", "is_in_S": "classes",
     "is_in_D": "classes", "is_in_DO": "classes",
-    "members": "classes", "count": "classes",
+    "members": "classes", "count": "classes", "count_table": "classes",
     "phi": "bijections", "phi_inverse": "bijections",
     "o_to_d": "bijections", "d_to_o": "bijections",
     "d_to_do": "bijections", "do_to_d": "bijections",

@@ -4,10 +4,13 @@ S (self-conjugate partitions of 4n+1 into odd parts),
 D (distinct parts, one dominant odd part, evens of the form 4k+2, weight 2n+1),
 DO (distinct odd parts in consecutive 4k+3/4k+1 pairs under a 4k+1 head,
 weight 4n+1). A walk yields its class in the order it finds it; only
-`members` lays out and sorts."""
+`members` lays out and sorts, and `count_table` reads one walk of O, D or DO
+at every index below its top."""
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
+from itertools import accumulate, repeat
 from math import isqrt
 from typing import Iterator
 
@@ -201,16 +204,51 @@ def _iter_DO_parts(n: int) -> Iterator[tuple[int, ...]]:
             stack.append((head - (2 * x + 2), pairs + (x + 2, x)))
 
 
-# class -> (its walk, the member that one item of the walk encodes). O's
-# walk yields arm tuples, which sort as the shapes they compose do: row i
-# of the Durfee square is a_i + i, and two arm tuples of one weight are
-# never prefixes of one another, so the first arm that differs decides the
-# first row that differs. So O composes each member once, after the sort.
+def _least_O(arms: tuple[int, ...], max_n: int) -> int:
+    """The least n at which an item of the walk to max_n is a member of O.
+    The head is n + 1 - w, w the sum of 2a - 1 over the inner arms, and it
+    must stay above a_2: n >= w + a_2."""
+    if len(arms) == 1:
+        return 0
+    w = max_n + 1 - arms[0]
+    return w + arms[1]
+
+
+def _least_D(parts: tuple[int, ...], max_n: int) -> int:
+    """The least n at which an item of the walk to max_n is a member of D.
+    The odd part is 2n + 1 - E, E the sum of the even parts, and twice it
+    must pass the greatest even part g: 4n > g + 2E - 2."""
+    if len(parts) == 1:
+        return 0
+    e = 2 * max_n + 1 - parts[-1]
+    return (parts[0] + 2 * e - 2) // 4 + 1
+
+
+def _least_DO(parts: tuple[int, ...], max_n: int) -> int:
+    """The least n at which an item of the walk to max_n is a member of DO.
+    The head is 4n + 1 - P, P the sum of the pairs, and it must pass the
+    first pair's top part t: 4n > t + P - 1."""
+    if len(parts) == 1:
+        return 0
+    p = 4 * max_n + 1 - parts[0]
+    return (parts[1] + p - 1) // 4 + 1
+
+
+# class -> (its walk, the member that one item of the walk encodes, the least
+# index of an item, or None). O's walk yields arm tuples, which sort as the
+# shapes they compose do: row i of the Durfee square is a_i + i, and two arm
+# tuples of one weight are never prefixes of one another, so the first arm
+# that differs decides the first row that differs. So O composes each member
+# once, after the sort. In O, D and DO the part that a walk takes as what is
+# left only grows with n, so an item of the walk to max_n is a member at every
+# index from its least one to max_n, and `count_table` walks these once. An
+# S member weighs 4n + 1, so it is a member at one n alone: S has no least
+# index
 _CLASSES = {
-    ClassId.O: (_iter_O_arms, lambda arms: OddFerrersGraph._trusted(hooks_compose(arms))),
-    ClassId.S: (_iter_S_parts, Partition),
-    ClassId.D: (_iter_D_parts, Partition),
-    ClassId.DO: (_iter_DO_parts, Partition),
+    ClassId.O: (_iter_O_arms, lambda arms: OddFerrersGraph._trusted(hooks_compose(arms)), _least_O),
+    ClassId.S: (_iter_S_parts, Partition, None),
+    ClassId.D: (_iter_D_parts, Partition, _least_D),
+    ClassId.DO: (_iter_DO_parts, Partition, _least_DO),
 }
 
 
@@ -233,3 +271,22 @@ def members(c: ClassId, n: int) -> list:
 def count(c: ClassId, n: int) -> int:
     """Class cardinality at index n, without materializing the sorted list."""
     return sum(1 for _ in _walk(c, n))
+
+
+def count_table(c: ClassId, max_n: int) -> Iterator[int]:
+    """count(c, n) for n = 0, 1, ..., max_n, in order; nothing when max_n < 0.
+
+    O, D and DO take one walk, to max_n, when called, and count each item at
+    its least index, so the table is the running sum of those counts. S walks
+    each n in turn, and each count is yielded as its walk ends."""
+    least = _CLASSES[_expect(ClassId, c)][2]
+    ns = range(_expect(int, max_n) + 1)
+    if least is None:
+        return (count(c, n) for n in ns)
+    at = Counter(map(least, _walk(c, max_n), repeat(max_n)))
+    # an index outside 0..max_n is a fault of a least-index rule, and the
+    # table below would leave its items out without a word
+    if at and not (min(at) >= 0 and max(at) <= max_n):
+        raise RuntimeError(f"class {c.value}: a walk to {max_n} gave least indices "
+                           f"{min(at)}..{max(at)}, outside 0..{max_n}")
+    return accumulate(at[n] for n in ns)

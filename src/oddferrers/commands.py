@@ -41,12 +41,15 @@ def _text(member) -> str:
 
 
 def cmd_count(args) -> int:  # of a class; `cli` writes the pnu table
-    ns = range(args.max_n + 1) if args.n is None else range(args.n, args.n + 1)
     from . import classes
 
     cid = classes.ClassId(args.cls)
-    for n in ns:  # one line per walk, printed as it ends
-        print(f"{n}\t{classes.count(cid, n)}")
+    if args.n is None:  # a line per n, printed as the table yields it
+        rows = enumerate(classes.count_table(cid, args.max_n))
+    else:
+        rows = [(args.n, classes.count(cid, args.n))]
+    for n, k in rows:
+        print(f"{n}\t{k}")
     return 0
 
 
@@ -78,9 +81,10 @@ def cmd_map(args) -> int:
 def _verify_counts(max_n: int):
     from . import classes
 
+    tables = {c.value: classes.count_table(c, max_n) for c in classes.ClassId}
     series = qseries.nu_series(max_n)
     for n in range(max_n + 1):
-        values = {c.value: classes.count(c, n) for c in classes.ClassId}
+        values = {name: next(table) for name, table in tables.items()}
         values["pnu"] = series[n]
         yield values, None
 

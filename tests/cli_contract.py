@@ -71,6 +71,8 @@ ROWS = [
     Row("count --class S --n 100", out=C100, timeout=20),
     Row("count --class pnu --n 150", out=C150),
     *(Row(f"count --class {c} --n 150", out=C150, timeout=10, slow=True) for c in ("O", "D", "DO")),
+    # one walk to the cap counts O, D and DO at every index below it
+    *(Row(f"count --class {c} --max-n 150", out=_table(NU[:151]), slow=True) for c in ("O", "D", "DO")),
     # S composes and tests each of its 194 712 leaves at the class cap
     Row("count --class S --n 150", out=C150, timeout=30, slow=True),
     # the series at its cap order finishes

@@ -189,6 +189,21 @@ ROWS = [
            "killed", "map offers the class predicates' names, not the bijections'"),
     Mutant("src/oddferrers/cli.py", "bound if args.max_n is None else args.max_n", "bound",
            "killed", "verify --max-n runs each check to its default bound"),
+    Mutant("src/oddferrers/classes.py", "return w + arms[1]", "return w + arms[1] - 1",
+           "killed", "count_table counts each O member with inner arms one index early"),
+    Mutant("src/oddferrers/classes.py", "(parts[0] + 2 * e - 2) // 4 + 1", "(parts[0] + 2 * e - 2) // 4 + 2",
+           "killed", "count_table counts each D member with even parts one index late"),
+    Mutant("src/oddferrers/classes.py", "(parts[1] + p - 1) // 4 + 1", "(parts[1] + p - 1) // 4",
+           "killed", "count_table counts each DO member with pairs one index early"),
+    Mutant("src/oddferrers/classes.py", "    if least is None:\n", "    if True:\n",
+           "killed", "count_table walks O, D and DO again at every n, as it walks S"),
+    Mutant("src/oddferrers/commands.py",
+           "values = {name: next(table) for name, table in tables.items()}",
+           "values = {name: list(classes.count_table(classes.ClassId(name), max_n))[n] for name in tables}",
+           "killed", "verify --checks counts rebuilds every table at every n, so O, D and DO are walked "
+           "once per n"),
+    Mutant("src/oddferrers/classes.py", "if at and not (min(at) >= 0 and max(at) <= max_n):", "if False:",
+           "killed", "count_table drops the items of a least index outside 0..max_n without a word"),
     Mutant("src/oddferrers/__init__.py", '"errors", "cli", "commands"}', '"errors"}',
            "killed", "oddferrers.cli and oddferrers.commands are not attributes of the package"),
 ]

@@ -10,6 +10,7 @@ from oddferrers import classes
 from oddferrers.classes import (
     ClassId,
     count,
+    count_table,
     is_in_D,
     is_in_DO,
     is_in_O,
@@ -192,6 +193,40 @@ class TestCount:
             tracemalloc.stop()
         assert peak < 64 * 2**10
 
+    @pytest.mark.parametrize("c", list(ClassId))
+    @pytest.mark.parametrize("top", [0, 1, 2, 5, 60])
+    def test_table_is_each_count_and_the_series(self, c, top):
+        # O, D and DO count each item of one walk at its least index, so a
+        # least index off by one moves a member to the wrong n
+        table = list(count_table(c, top))
+        assert table == [count(c, n) for n in range(top + 1)]
+        assert table == list(nu_series(top))
+
+    @pytest.mark.parametrize("c", list(ClassId))
+    def test_table_below_index_0_is_empty(self, c):
+        assert list(count_table(c, -1)) == [] and list(count_table(c, -3)) == []
+
+    @pytest.mark.parametrize("c", [ClassId.O, ClassId.D, ClassId.DO])
+    def test_table_streams_its_one_walk(self, c):
+        # the walk's stack and one count per index, as count(c, 100) holds
+        tracemalloc.start()
+        try:
+            assert list(count_table(c, 100)) == list(nu_series(100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+    @pytest.mark.parametrize("c", [ClassId.O, ClassId.D, ClassId.DO])
+    @pytest.mark.parametrize("bad", [-1, 11])
+    def test_table_refuses_a_least_index_outside_its_range(self, monkeypatch, c, bad):
+        # an index outside 0..10 is a fault of the rule; left unchecked, its
+        # items would drop out of the table without a word
+        walk, member, _ = classes._CLASSES[c]
+        monkeypatch.setitem(classes._CLASSES, c, (walk, member, lambda item, max_n: bad))
+        with pytest.raises(RuntimeError, match=f"least indices {bad}..{bad}, outside 0..10"):
+            list(count_table(c, 10))
+
     def test_s_drops_a_leaf_with_an_even_row(self, monkeypatch):
         # the row rules leave no even row at any leaf, so only a doctored
         # composition shows that the walk's own all-odd test is live: the
@@ -246,6 +281,8 @@ class TestCount:
             count(c, n)
         with pytest.raises(TypeError, match="expected type int"):
             members(c, n)
+        with pytest.raises(TypeError, match="expected type int"):
+            count_table(c, n)  # at the call, before the table is read
         # the predicates take the same test, so is_in_S(P(1), 0.0) is not index 0
         predicate, member = {ClassId.O: (is_in_O, OddFerrersGraph(P(1))), ClassId.S: (is_in_S, P(1)),
                              ClassId.D: (is_in_D, P(1)), ClassId.DO: (is_in_DO, P(1))}[c]
@@ -258,6 +295,8 @@ class TestCount:
             count(c, 3)
         with pytest.raises(TypeError, match="expected type ClassId"):
             members(c, 3)
+        with pytest.raises(TypeError, match="expected type ClassId"):
+            count_table(c, 3)
 
 
 def _package_imports(module_name):

@@ -344,13 +344,13 @@ def test_verify_series_failure_names_the_first_counterexample(capsys, monkeypatc
 
 
 def test_verify_counts_failure_names_the_first_counterexample(capsys, monkeypatch):
-    real = oddferrers.classes.count
+    real = oddferrers.classes.count_table
 
-    def count_off_by_one(c, n):
+    def table_off_by_one(c, max_n):
         # wrong from n = 3 on, and only the first failure is named
-        return real(c, n) + (c is ClassId.D and n >= 3)
+        return (k + (c is ClassId.D and n >= 3) for n, k in enumerate(real(c, max_n)))
 
-    monkeypatch.setattr(oddferrers.classes, "count", count_off_by_one)
+    monkeypatch.setattr(oddferrers.classes, "count_table", table_off_by_one)
     code, out, _ = run(capsys, "verify", "--checks", "counts", "--max-n", "5")
     assert code == 1
     lines = out.splitlines()
@@ -393,14 +393,34 @@ def test_verify_judges_and_words_every_record(capsys, monkeypatch):
 
 def test_verify_counts_record_names_each_source(monkeypatch):
     # the S walk loses its first member at n = 7, so S alone is one short
-    walk, member = oddferrers.classes._CLASSES[ClassId.S]
+    walk, *columns = oddferrers.classes._CLASSES[ClassId.S]
     monkeypatch.setitem(oddferrers.classes._CLASSES, ClassId.S,
-                        (lambda n: itertools.islice(walk(n), 1 if n == 7 else 0, None), member))
+                        (lambda n: itertools.islice(walk(n), 1 if n == 7 else 0, None), *columns))
     sources, counterexample = list(oddferrers.commands._verify_counts(7))[-1]
     expected = oddferrers.qseries.nu_series(7)[7]
     assert counterexample is None
     assert list(sources.items()) == [
         ("O", expected), ("S", expected - 1), ("D", expected), ("DO", expected), ("pnu", expected)]
+
+
+@pytest.mark.parametrize("argv, walks", [
+    ("verify --checks counts --max-n 10", {"O": [10], "S": list(range(11)), "D": [10], "DO": [10]}),
+    ("count --class DO --max-n 10", {"DO": [10]}),
+    ("count --class S --max-n 10", {"S": list(range(11))}),
+], ids=["verify", "count-DO", "count-S"])
+def test_a_table_walks_o_d_and_do_once_and_s_at_every_n(capsys, monkeypatch, argv, walks):
+    # one walk to the top index counts O, D and DO at every index below it
+    real = oddferrers.classes._walk
+    walked = {}
+
+    def recorded(c, n):
+        walked.setdefault(c.value, []).append(n)
+        return real(c, n)
+
+    monkeypatch.setattr(oddferrers.classes, "_walk", recorded)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err, "FAIL" in out) == (0, "", False)
+    assert walked == walks
 
 
 @pytest.mark.parametrize("name, detail", [
