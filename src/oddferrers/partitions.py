@@ -46,10 +46,10 @@ class Partition:
         return sum(self.parts)
 
 
-def _expect(cls: type, x):
-    """`x`, if its type is `cls`: the package's one input type test."""
-    if type(x) is not cls:
-        raise TypeError(f"expected type {cls.__name__}: {x!r}")
+def _expect(cls: type, x, alt: type | None = None):
+    """`x`, if its type is `cls` or `alt`: the package's one input type test."""
+    if type(x) is not cls and type(x) is not alt:
+        raise TypeError(f"expected type {cls.__name__}{f' or {alt.__name__}' if alt else ''}: {x!r}")
     return x
 
 
@@ -85,10 +85,11 @@ def hook_decompose(p: Partition) -> tuple[int, ...]:
     return tuple(arms)
 
 
-def hooks_compose(arms: Sequence[int]) -> Partition:
+def hooks_compose(arms: tuple[int, ...] | list[int]) -> Partition:
     """The unique self-conjugate partition whose principal hooks have these
     arms, which must be positive, strictly decreasing ints."""
-    if arms and not (arms[-1] >= 1 and all(map(operator.gt, arms, arms[1:]))):
+    # a dict would fail below as a bare KeyError, and a range or a str compose
+    if _expect(tuple, arms, list) and not (arms[-1] >= 1 and all(map(operator.gt, arms, arms[1:]))):
         raise InvalidHookList(f"hook arms not strictly decreasing positive integers: {tuple(arms)}")
     return _compose(arms)
 

@@ -100,6 +100,61 @@ def distinct_odd_partitions_of(m, maxpart=None, prefix=()):
         yield from distinct_odd_partitions_of(m - f, f - 2, prefix + (f,))
 
 
+# Bounded-exhaustive input spaces: each holds every value of a box up to a
+# weight bound, and the box's extremes, as a sorted tuple of descending tuples.
+# A property test checks every value of its space, so a run is deterministic.
+
+def partitions_in_box(top, most, weight):
+    """Every partition of at most `most` parts, each at most `top`, that has
+    weight <= `weight` or whose parts are each 1 or `top`."""
+    small = (p for w in range(weight + 1) for p in all_partitions_of(w)
+             if len(p) <= most and (not p or p[0] <= top))
+    corners = ((top,) * k + (1,) * (m - k) for m in range(most + 1) for k in range(m + 1))
+    return tuple(sorted({*small, *corners}))
+
+
+def arm_sets_in_box(top, most, weight):
+    """Every nonempty set of at most `most` arms from 1..top, descending, whose
+    hooks hold at most `weight` cells (2a - 1 for arm a); and for each size L,
+    the L largest arms, the L smallest, and `top` with the L - 1 smallest."""
+    small = (tuple((c + 1) // 2 for c in cells) for w in range(1, weight + 1)
+             for cells in distinct_odd_partitions_of(w) if len(cells) <= most and cells[0] < 2 * top)
+    corners = (arms for size in range(1, most + 1) for arms in (
+        tuple(range(top, top - size, -1)), tuple(range(size, 0, -1)), (top, *range(size - 1, 0, -1))))
+    return tuple(sorted({*small, *corners}))
+
+
+@lru_cache(maxsize=None)
+def shapes():
+    """Nonempty partitions of at most 10 parts, each at most 30: all 2,429 of
+    weight <= 20, and the 55 more whose parts are each 1 or 30. 2,484 shapes."""
+    return partitions_in_box(30, 10, 20)[1:]
+
+
+@lru_cache(maxsize=None)
+def partitions():
+    """Partitions of at most 12 parts, each at most 40: all 2,594 of weight
+    <= 20, the empty one included, and the 78 more whose parts are each 1 or
+    40. 2,672 partitions."""
+    return partitions_in_box(40, 12, 20)
+
+
+@lru_cache(maxsize=None)
+def sc_arm_sets():
+    """Arm sets of at most 8 arms from 1..20, the hooks of self-conjugate
+    shapes: all 1,184 whose shape has at most 50 cells, and the 12 more
+    extremes of `arm_sets_in_box`. 1,196 arm sets."""
+    return arm_sets_in_box(20, 8, 50)
+
+
+@lru_cache(maxsize=None)
+def arm_sets():
+    """Arm sets of at most 10 arms from 1..25: all 1,212 whose shape has at
+    most 50 cells, and the 20 more extremes of `arm_sets_in_box`. 1,232 arm
+    sets."""
+    return arm_sets_in_box(25, 10, 50)
+
+
 def naive_S(n):
     return sorted(
         (p for p in all_partitions_of(4 * n + 1)
