@@ -1,6 +1,6 @@
 """Expansion of Watson's third order mock theta function nu at -q, whose
 coefficients are an independent count oracle for the four classes."""
-from itertools import accumulate
+from itertools import chain, repeat
 from operator import add
 
 
@@ -11,19 +11,18 @@ def nu_series(order: int) -> tuple[int, ...]:
     The sum is expanded from the inside out, in nested form: with
     T_n = (1 + q^(2n+2) T_(n+1)) / (1 - q^(2n+1)), nu(-q) = T_0, and T_n
     enters T_0 times q^(n(n+1)), so it is needed only to order - n(n+1).
-    One list t holds T_(n+1); each level puts 1 and 2n+1 zeros in front of
-    it, which gives 1 + q^(2n+2) T_(n+1), and divides that by 1 - q^(2n+1).
-    With e = 2n+1, dividing by 1 - q^e adds t[i - e] to each t[i] in turn.
-    Two sets of slices do that, and each level takes the one with fewer.
-    While e * e < len(t), so there are fewer residue classes than blocks of
-    e, each class t[r], t[r + e], ... becomes its running sums, one
-    `accumulate` per class; otherwise each contiguous block of e adds the
-    block before it, already divided, one slice per block after the first.
-    The innermost level is the largest n with n(n+1) <= order; its
-    q^(2n+2) T_(n+1) lies past the truncation.
+    With old holding T_(n+1) and e = 2n+1, 1 + q^(2n+2) T_(n+1) is 1, then
+    e zeros, then old, and dividing it by 1 - q^e adds t[i - e] to each t[i].
+    Its first e coefficients are already divided, and one `map` appends the
+    rest, each its source coefficient plus t[i - e], read from t itself:
+    `list +=` appends a non-list iterable one item at a time, and a list
+    iterator reads the list's length at each step, so the map reaches each
+    t[i - e] after it is appended. The innermost level is the largest n with
+    n(n+1) <= order; its q^(2n+2) T_(n+1) lies past the truncation.
 
-    The last level's running sum (e = 1) holds the old and the new
-    coefficients at once, so the peak is about two lists of order + 1 ints.
+    Each level holds old and the new list at once, and old is freed as soon
+    as the new list is built, before the result's tuple is, so the peak is
+    about two lists of order + 1 ints.
     """
     if type(order) is not int:  # a bool would expand, and a float fail as a slice index
         raise TypeError(f"series order must be an int: {order!r}")
@@ -33,14 +32,9 @@ def nu_series(order: int) -> tuple[int, ...]:
     t = []
     for n in range(top, -1, -1):
         e = 2 * n + 1
-        t[:0] = [1] + [0] * e
+        old, t = t, [1, *repeat(0, e - 1)]
+        t += map(add, chain((0,), old), t)
+        del old
         # cuts only the innermost level: below it, t is already order - n(n+1) + 1 long
         del t[order - n * (n + 1) + 1:]
-        if e * e < len(t):
-            for r in range(e):
-                t[r::e] = accumulate(t[r::e])
-        else:
-            acc = t[:e]
-            for s in range(e, len(t), e):
-                acc = t[s:s + e] = [*map(add, t[s:s + e], acc)]
     return tuple(t)

@@ -75,8 +75,11 @@ ROWS = [
     *(Row(f"count --class {c} --max-n 150", out=_table(NU[:151]), slow=True) for c in ("O", "D", "DO")),
     # S composes and tests each of its 194 712 leaves at the class cap
     Row("count --class S --n 150", out=C150, timeout=30, slow=True),
-    # the series at its cap order finishes
-    Row("count --class pnu --n 100000", timeout=30, slow=True),
+    # the series at its cap order, against the value that the residue-class and
+    # block division gave before the one-pass division replaced it
+    Row("count --class pnu --n 100000", timeout=30, slow=True,
+        out="100000\t154517519995803068564519881874541715010399077708545579414268242771088253374474211801691"
+            "249327855220233513818798777596787046259506065740822475488705538289109162159515982177968\n"),
 
     # each member on one line, or the class as one JSON object
     Row("enumerate --class O --n 0", out="1\n"),

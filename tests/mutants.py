@@ -56,15 +56,15 @@ class Mutant(NamedTuple):
 
 
 ROWS = [
-    Mutant("src/oddferrers/qseries.py", "for r in range(e):", "for r in range(e - 1):",
-           "killed", "the division leaves the last residue class of each level undivided"),
-    Mutant("src/oddferrers/qseries.py", "acc = t[:e]", "acc = t[1:e + 1]",
-           "killed", "the block division adds each block's neighbour one step on"),
-    Mutant("src/oddferrers/qseries.py", "if e * e < len(t):", "if True:",
-           "equivalent", "both branches do the same division; the test only picks the one "
-           "with fewer slices"),
-    Mutant("src/oddferrers/qseries.py", "t[:0] = [1] + [0] * e", "t[:0] = [1] + [0] * (e - 1)",
+    Mutant("src/oddferrers/qseries.py", "repeat(0, e - 1)", "repeat(0, e)",
+           "killed", "each level's head has one zero too many, so the map adds t[i - e - 1]"),
+    Mutant("src/oddferrers/qseries.py", "chain((0,), old)", "chain((), old)",
            "killed", "each inner level enters one order too low"),
+    Mutant("src/oddferrers/qseries.py", "map(add, chain((0,), old), t)", "map(add, chain((0,), old), old)",
+           "killed", "the map adds the inner level's coefficients, not the ones it has divided"),
+    Mutant("src/oddferrers/qseries.py", "n * (n + 1) + 1:]", "n * (n + 1) + 2:]",
+           "killed", "the innermost level keeps one coefficient past its order, and each level "
+           "above passes it on"),
     Mutant("src/oddferrers/cli.py",
            "block = ns[i:i + _PNU_BLOCK_LINES]", "block = ns[i:min(i + _PNU_BLOCK_LINES, len(ns) - 1)]",
            "killed", "the pnu table loses its last line"),
@@ -204,6 +204,10 @@ ROWS = [
            "once per n"),
     Mutant("src/oddferrers/classes.py", "if at and not (min(at) >= 0 and max(at) <= max_n):", "if False:",
            "killed", "count_table drops the items of a least index outside 0..max_n without a word"),
+    Mutant("src/oddferrers/partitions.py", "if parts and parts[0] != k:",
+           "if parts and parts[0] != k and k < 20:",
+           "killed", "the self-conjugacy test reads a first row longer than its column past the "
+           "last row, and 25,1^19 raises IndexError"),
     Mutant("src/oddferrers/partitions.py", "r < k and parts[r] > i", "r < k - 1 and parts[r] > i",
            "killed", "the self-conjugacy test misses a column one cell longer than its row when the "
            "row stops one short of the last row, and takes 3,2,2"),

@@ -97,6 +97,8 @@ class TestSelfConjugate:
         assert is_self_conjugate(Partition((4, 4, 2, 2)))
         assert is_self_conjugate(Partition((1,)))
         assert not is_self_conjugate(Partition((3, 1)))
+        # 20 rows: column 0 is refused before row 24 is read
+        assert not is_self_conjugate(Partition((25,) + (1,) * 19))
 
     def test_matches_oracle(self):
         for parts in oracles.partitions():
@@ -115,8 +117,9 @@ class TestHookDecompose:
         assert hook_decompose(Partition((5, 5, 5, 3, 3))) == (5, 4, 3)
 
     def test_rejects_non_self_conjugate(self):
-        with pytest.raises(NotSelfConjugate):
-            hook_decompose(Partition((3, 1)))
+        for parts in (3, 1), (25,) + (1,) * 19:
+            with pytest.raises(NotSelfConjugate):
+                hook_decompose(Partition(parts))
 
     def test_matches_cell_peeling(self):
         for arms in oracles.arm_sets():
